@@ -41,11 +41,12 @@ quant-smoke:     ## tiny lenet run on the integer runtime; fails if measured dro
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_quant.py --smoke \
 		--output bench-quant-smoke.json
 
-ablate-smoke:    ## tiny lenet campaign with one injected chaos fault (CI gate)
+ablate-smoke:    ## tiny lenet campaign with one injected chaos fault, then a resume on its run dir (CI gate)
+	rm -rf ablate-smoke-run
 	PYTHONPATH=src $(PYTHON) -m repro ablate --model lenet --smoke \
 		--components fallback,xi,cache \
 		--chaos-cell component/cache:off/lenet \
-		--output ablate-smoke.json
+		--run-dir ablate-smoke-run --output ablate-smoke.json
 	@PYTHONPATH=src $(PYTHON) -c "import json; r = json.load(open('ablate-smoke.json')); \
 	assert r['schema_version'] == 1, r.get('schema_version'); \
 	rows = r['rows']; assert len(rows) == 5, len(rows); \
@@ -55,6 +56,14 @@ ablate-smoke:    ## tiny lenet campaign with one injected chaos fault (CI gate)
 	assert r['importance'], 'importance ranking missing'; \
 	assert r['manifest'].get('config_hash'), 'manifest missing'; \
 	print('ablate smoke OK: %d cells, 1 injected failure isolated' % len(rows))"
+	PYTHONPATH=src $(PYTHON) -m repro ablate --model lenet --smoke \
+		--components fallback,xi,cache \
+		--run-dir ablate-smoke-run --output ablate-smoke-resume.json
+	@PYTHONPATH=src $(PYTHON) -c "import json; r = json.load(open('ablate-smoke-resume.json')); \
+	assert r['executed_cell_ids'] == ['component/cache:off/lenet'], r['executed_cell_ids']; \
+	rows = r['rows']; assert len(rows) == 5, len(rows); \
+	assert [x['cell_id'] for x in rows if x['status'] == 'failed'] == [], rows; \
+	print('ablate resume OK: only the failed cell re-executed, no failed rows')"
 
 monitor-smoke:   ## tiny sweep with --events-dir, then parse + self-scrape the bus (CI gate)
 	rm -rf monitor-smoke-events
@@ -111,4 +120,5 @@ clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results results
 	rm -rf monitor-smoke-events monitor-smoke.txt monitor-scrape.txt
 	rm -rf sweep-scale-smoke-run sweep-scale-smoke.json
+	rm -rf ablate-smoke-run ablate-smoke.json ablate-smoke-resume.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -331,6 +331,20 @@ class ErrorProfiler:
             jobs = 1
             sq_sums = {name: cached_sums[name][0] for name in cached_sums}
             counts = {name: cached_sums[name][1] for name in cached_sums}
+
+            def publish(
+                name: str, layer_sums: np.ndarray, layer_counts: np.ndarray
+            ) -> None:
+                # Stored the moment a layer finishes: a crash later in
+                # the campaign keeps every completed layer for resume.
+                if self.cache is not None:
+                    self.cache.put_arrays(
+                        "profile",
+                        layer_keys[name],
+                        {"sq_sums": layer_sums, "counts": layer_counts},
+                        meta={"layer": name},
+                    )
+
             if missing:
                 missing_grids = {name: grids[name] for name in missing}
                 if self.use_engine:
@@ -347,6 +361,7 @@ class ErrorProfiler:
                         seed=settings.seed,
                         batch_size=self.batch_size,
                         progress=progress,
+                        on_layer=publish,
                     )
                     sq_sums.update(campaign.sq_sums)
                     counts.update(campaign.counts)
@@ -359,17 +374,8 @@ class ErrorProfiler:
                     )
                     sq_sums.update(fresh_sums)
                     counts.update(fresh_counts)
-                if self.cache is not None:
                     for name in missing:
-                        self.cache.put_arrays(
-                            "profile",
-                            layer_keys[name],
-                            {
-                                "sq_sums": sq_sums[name],
-                                "counts": counts[name],
-                            },
-                            meta={"layer": name},
-                        )
+                        publish(name, sq_sums[name], counts[name])
 
             fit_start = time.perf_counter()
             profiles: Dict[str, LayerErrorProfile] = {}

@@ -10,7 +10,9 @@ recomputes what an earlier run already proved:
 
 * :mod:`repro.cache.keys` — content digests and canonical key hashing.
 * :mod:`repro.cache.store` — atomic, checksummed, mmap-able artifact
-  store (:class:`ResultCache`) with hit/miss/byte telemetry.
+  store (:class:`ResultCache`) with hit/miss/byte telemetry, and
+  :func:`atomic_write`, the one write-then-rename every persisted file
+  goes through.
 * :mod:`repro.cache.maintenance` — stats / size-budgeted LRU GC /
   integrity verification (the ``repro cache`` CLI).
 * :mod:`repro.cache.leases` — atomic lease files with TTL + heartbeat,
@@ -56,7 +58,7 @@ from .maintenance import (
     gc,
     verify,
 )
-from .store import CacheCounters, ResultCache
+from .store import CacheCounters, ResultCache, atomic_write
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -101,6 +103,7 @@ __all__ = [
     "VerifyReport",
     "acquire_lease",
     "array_digest",
+    "atomic_write",
     "cache_stats",
     "dataset_digest",
     "gc",

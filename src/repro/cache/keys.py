@@ -117,7 +117,6 @@ KEY_FIELD_REGISTRY: Dict[str, Dict[str, str]] = {
         "scheme": KEYED,
         "seed": KEYED,
         "strict": KEYED,
-        "state_dir": NON_NUMERIC,
         "jobs": EXCLUDED_BY_CONTRACT,
         "parallel_backend": EXCLUDED_BY_CONTRACT,
         "telemetry": NON_NUMERIC,
@@ -166,6 +165,20 @@ KEY_FIELD_REGISTRY: Dict[str, Dict[str, str]] = {
         "pack_activations": EXCLUDED_BY_CONTRACT,
     },
 }
+
+
+def keyed_fields(obj: Any, class_name: str) -> Dict[str, Any]:
+    """The registry-KEYED fields of a registered dataclass instance.
+
+    The identity of a run directory's plan: exactly the fields that can
+    change result bits, tuples as lists so the dict is JSON-shaped.
+    """
+    out: Dict[str, Any] = {}
+    for name, disposition in sorted(KEY_FIELD_REGISTRY[class_name].items()):
+        if disposition == KEYED:
+            value = getattr(obj, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def _hasher() -> "hashlib._Hash":

@@ -26,10 +26,16 @@ The protocol (see ``docs/distributed.md``):
     crashed or SIGKILLed worker (live workers renew at ``ttl / 4`` by
     default, so many missed beats separate "slow" from "dead").
 ``steal``
-    ``os.rename(path, path + ".stale-<token>")`` — atomic: exactly one
-    of any number of concurrent stealers wins the rename; losers get
-    ``FileNotFoundError`` and walk away.  The winner removes the tomb
-    and re-acquires fresh.
+    Per *generation*: an expired lease's generation is its
+    ``(st_ino, st_mtime_ns)``.  A stealer creates the token
+    ``<lease>.steal-<ino>-<mtime_ns>`` with ``O_CREAT | O_EXCL`` —
+    exactly one stealer per generation gets it — then re-stats the
+    lease and removes it only if the generation is unchanged, and
+    re-acquires fresh.  A stealer that stat'ed the old generation late
+    finds the fresh lease's generation on its re-stat and walks away,
+    so a live lease is never stolen by a racing stealer.  Tokens are
+    removed by their creator; one left by a stealer that died holding
+    it is recovered after the TTL (see :func:`steal_expired_lease`).
 ``release``
     ``os.unlink(path)``; a missing file (already stolen) is not an
     error — the worker finished anyway and publication is idempotent.
@@ -53,6 +59,7 @@ import json
 import os
 import socket
 import threading
+import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,6 +72,9 @@ LEASE_SCHEMA_VERSION = 1
 
 #: Filename suffix of live lease files.
 LEASE_SUFFIX = ".lease"
+
+#: Infix of steal tokens: ``<lease>.steal-<st_ino>-<st_mtime_ns>``.
+STEAL_TOKEN_INFIX = ".steal-"
 
 
 @dataclass(frozen=True)
@@ -97,8 +107,8 @@ class Lease:
 
     path: Path
     owner: str
-    #: Random fencing token unique to this acquisition; lets a steal
-    #: tomb and diagnostics distinguish successive holders of one cell.
+    #: Random fencing token unique to this acquisition; lets
+    #: diagnostics distinguish successive holders of one cell.
     token: str
 
     def renew(self) -> bool:
@@ -176,8 +186,6 @@ def read_lease(path: PathLike) -> Optional[Dict[str, Any]]:
 
 def lease_age_seconds(path: PathLike) -> Optional[float]:
     """Seconds since the lease's last heartbeat, or None if gone."""
-    import time
-
     try:
         mtime = os.stat(path).st_mtime
     except OSError:
@@ -205,27 +213,73 @@ def steal_expired_lease(
 ) -> Optional[Lease]:
     """Take over an expired lease; None when we lost the steal race.
 
-    The steal is an atomic ``os.rename`` to a unique tomb name: of any
-    number of workers that concurrently observed the expiry, exactly
-    one rename succeeds.  The winner unlinks the tomb and acquires a
-    fresh lease; losers (``FileNotFoundError``) return None and rescan.
+    Single winner per expired generation: only the stealer that creates
+    the generation's ``O_EXCL`` token may remove the lease, and only
+    after a re-stat shows the same generation.  Checking expiry and
+    then removing the file, with nothing tying the two steps to one
+    generation, would let a late stealer remove the fresh lease the
+    first winner had just acquired.
+
+    A token older than the TTL belongs to a stealer that died between
+    creating it and finishing the steal; it would block the generation
+    forever, so the lease's mtime is bumped (starting a new, live
+    generation that expires and is stolen normally) and the token is
+    removed.  Bumping is a heartbeat, never a second claim.
     """
     settings = settings or LeaseSettings()
     path = Path(path)
-    if not lease_is_expired(path, settings):
+    try:
+        seen = os.stat(path)
+    except OSError:
+        return None  # released
+    if time.time() - seen.st_mtime <= settings.ttl_seconds:
         return None
-    tomb = path.with_name(
-        path.name + f".stale-{uuid.uuid4().hex[:8]}"
+    generation = (seen.st_ino, seen.st_mtime_ns)
+    token = path.with_name(
+        f"{path.name}{STEAL_TOKEN_INFIX}{seen.st_ino}-{seen.st_mtime_ns}"
     )
     try:
-        os.rename(path, tomb)
-    except OSError:
-        return None  # another stealer won, or the holder released
+        os.close(os.open(str(token), os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        _recover_abandoned_token(path, token, settings)
+        return None
     try:
-        os.unlink(tomb)
+        try:
+            current = os.stat(path)
+        except OSError:
+            return None  # released meanwhile
+        if (current.st_ino, current.st_mtime_ns) != generation:
+            return None  # renewed, or already stolen and re-acquired
+        try:
+            os.unlink(path)
+        except OSError:
+            return None
+        return acquire_lease(path, owner, settings)
+    finally:
+        try:
+            os.unlink(token)
+        except OSError:
+            pass
+
+
+def _recover_abandoned_token(
+    path: Path, token: Path, settings: LeaseSettings
+) -> None:
+    """Unblock a generation whose steal token outlived the TTL."""
+    try:
+        abandoned = time.time() - os.stat(token).st_mtime > settings.ttl_seconds
+    except OSError:
+        return  # its creator finished
+    if not abandoned:
+        return
+    try:
+        os.utime(path)
     except OSError:
         pass
-    return acquire_lease(path, owner, settings)
+    try:
+        os.unlink(token)
+    except OSError:
+        pass
 
 
 class LeaseHeartbeat:
@@ -276,6 +330,7 @@ class LeaseHeartbeat:
 __all__ = [
     "LEASE_SCHEMA_VERSION",
     "LEASE_SUFFIX",
+    "STEAL_TOKEN_INFIX",
     "Lease",
     "LeaseHeartbeat",
     "LeaseSettings",

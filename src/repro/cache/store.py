@@ -13,8 +13,8 @@ materializing copies (unlike ``.npz``, whose members cannot be mapped).
 
 Durability and integrity:
 
-* writes go to a temporary file in the same directory and are
-  ``os.replace``d into place (atomic on POSIX) — a crash mid-write
+* writes go through :func:`atomic_write` (a temporary file in the
+  same directory, ``os.replace``d into place) — a crash mid-write
   never leaves a partial entry visible;
 * every payload carries a SHA-256 checksum which is verified on read;
 * **any** failure on the read path (missing file, truncation, checksum
@@ -74,6 +74,35 @@ class CacheCounters:
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
         }
+
+
+def atomic_write(path: PathLike, data: bytes) -> None:
+    """Publish ``data`` at ``path`` all at once (write-then-rename).
+
+    The bytes go to a ``mkstemp`` file in the target directory, which
+    is then ``os.replace``d into place — atomic on POSIX, so readers
+    see the old content or the new, never a torn file, and concurrent
+    writers never share a temp file.  On failure the temp file is
+    unlinked and the old content stays.  The one implementation every
+    persisted file (store entries, run-directory plans and rows) goes
+    through; the concurrency analyzer flags ``os.replace`` and
+    ``tempfile.mkstemp`` anywhere else (``atomic-write-outside-helper``).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def _sha256(data: Union[bytes, memoryview, mmap.mmap]) -> str:
@@ -150,20 +179,7 @@ class ResultCache:
 
     # -- atomic write --------------------------------------------------
     def _write_atomic(self, path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=path.suffix
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, data)
         self._count("writes")
         self._count("bytes_written", len(data))
 

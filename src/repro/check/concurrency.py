@@ -46,6 +46,13 @@ time, over source text, with no execution:
     a worker "helpfully" touching its lease, a cleanup pass unlinking
     one non-atomically — reintroduces the claim races the helpers
     exist to make impossible.
+``atomic-write-outside-helper``
+    ``os.replace`` or ``tempfile.mkstemp`` outside :mod:`repro.cache`.
+    Every persisted file goes through :func:`repro.cache.atomic_write`
+    (unique temp file in the target directory, replace, unlink on
+    failure); a hand-rolled copy tends to reuse a fixed ``<name>.tmp``
+    path, which lets two concurrent writers clobber each other's temp
+    file.
 
 ``fork-unsafe-capture``/``unpicklable-task``/``global-write-in-worker``
 also cover ``multiprocessing.Process(target=..., args=...)`` and
@@ -84,6 +91,12 @@ _FORK_UNSAFE_CTORS = {
 
 #: The one module allowed to mutate lease files (path suffix).
 _LEASE_HELPER_SUFFIX = "cache/leases.py"
+
+#: The one package allowed to write-then-rename files (path fragment).
+_ATOMIC_HELPER_DIR = "repro/cache/"
+
+#: ``module.function`` calls that make up a write-then-rename.
+_ATOMIC_WRITE_CALLS = {("os", "replace"), ("tempfile", "mkstemp")}
 
 #: Call names that mutate the filesystem at their path argument.
 _FS_MUTATORS = {
@@ -359,6 +372,7 @@ class _FileFacts:
     ) -> None:
         func = call.func
         self._check_lease_write(call)
+        self._check_atomic_write(call)
         self._inspect_worker_ctor(call, tainted)
         # pool.submit(fn, ...) / pool.map(fn, ...)
         if isinstance(func, ast.Attribute) and func.attr in (
@@ -423,6 +437,25 @@ class _FileFacts:
                 "(acquire/renew/steal/release) has exactly one atomic "
                 "implementation each — use those helpers",
             )
+
+    def _check_atomic_write(self, call: ast.Call) -> None:
+        """Flag write-then-rename copies outside :mod:`repro.cache`."""
+        if _ATOMIC_HELPER_DIR in self.path.replace("\\", "/"):
+            return
+        func = call.func
+        if not (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and (func.value.id, func.attr) in _ATOMIC_WRITE_CALLS
+        ):
+            return
+        self._emit(
+            "atomic-write-outside-helper",
+            call,
+            f"{func.value.id}.{func.attr} outside repro.cache; publish "
+            "files through repro.cache.atomic_write (unique temp file, "
+            "replace, cleanup on failure) instead of a hand-rolled copy",
+        )
 
     def _inspect_worker_ctor(
         self, call: ast.Call, tainted: Set[str]

@@ -32,12 +32,13 @@ point for the substrate replica.  Subcommands:
 Every subcommand accepts ``--cache-dir DIR`` (persist expensive results
 content-addressed under DIR and reuse them across runs; also enabled by
 ``$REPRO_CACHE_DIR``) and ``--no-cache`` (force it off); see
-``docs/caching.md``.
+``docs/caching.md``.  Results land in the store as each unit of work
+finishes, so re-running with the same ``--cache-dir`` resumes an
+interrupted run.  Grids also take ``--run-dir DIR`` (``sweep``,
+``ablate``): reusing it re-executes only cells that failed or never ran.
 
-Every subcommand accepts ``--resume DIR`` (checkpoint/resume the
-expensive stages under DIR) and ``--strict`` (escalate guardrail
-warnings and solver degradation to hard errors); see
-``docs/resilience.md``.
+Every subcommand accepts ``--strict`` (escalate guardrail warnings and
+solver degradation to hard errors); see ``docs/resilience.md``.
 
 Run ``python -m repro <subcommand> --help`` for options.
 """
@@ -101,16 +102,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="engine pool backend (process = shared-memory workers)",
     )
     parser.add_argument(
-        "--resume",
-        default="",
-        metavar="DIR",
-        help=(
-            "checkpoint the expensive stages (per-layer profiles, sigma "
-            "searches) under DIR and resume from whatever already "
-            "completed there"
-        ),
-    )
-    parser.add_argument(
         "--strict",
         action="store_true",
         help=(
@@ -152,7 +143,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help=(
             "persist expensive results (activations, fits, sigma "
             "evaluations, outcomes) content-addressed under DIR and "
-            "reuse them across runs; $REPRO_CACHE_DIR also enables "
+            "reuse them across runs — re-running with the same DIR "
+            "resumes an interrupted run; $REPRO_CACHE_DIR also enables "
             "this (see docs/caching.md)"
         ),
     )
@@ -173,7 +165,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         scheme=args.scheme,
         seed=args.seed,
         strict=args.strict,
-        state_dir=args.resume,
         jobs=args.jobs,
         parallel_backend=args.parallel_backend,
         telemetry=args.telemetry,
@@ -471,7 +462,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         chaos_cells=tuple(args.chaos_cell),
     )
     report = run_ablation_campaign(
-        spec, config=config, state_dir=args.resume or None, progress=True
+        spec, config=config, state_dir=args.run_dir or None, progress=True
     )
     for line in report.lines():
         print(line)
@@ -989,7 +980,8 @@ def build_parser() -> argparse.ArgumentParser:
         "per toggled component) and optional scenario cells for the "
         "chosen models, with every cell fault-isolated: a crash "
         "becomes a structured failed row and the rest of the campaign "
-        "completes.  --resume DIR re-runs only failed/missing cells; "
+        "completes.  --run-dir DIR publishes each row there; re-running "
+        "on the same DIR re-executes only failed/missing cells; "
         "--strict restores fail-fast.  See docs/robustness.md.",
     )
     _add_common(p)
@@ -1024,6 +1016,15 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "inject a simulated crash into this cell (repeatable); "
             "proves the fault-isolation contract end-to-end"
+        ),
+    )
+    p.add_argument(
+        "--run-dir",
+        default="",
+        metavar="DIR",
+        help=(
+            "campaign run directory (plan + one row per cell); reusing "
+            "a DIR resumes it, re-executing only failed/missing cells"
         ),
     )
     p.add_argument(

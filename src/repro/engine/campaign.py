@@ -28,7 +28,7 @@ from __future__ import annotations
 import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -233,6 +233,27 @@ def run_layer_campaign(
     return LayerCells(name=name, cells=cells, counts=counts)
 
 
+#: Called with (layer name, sq_sums, counts) as each layer finishes.
+LayerSink = Callable[[str, np.ndarray, np.ndarray], None]
+
+
+def reduce_layer_cells(layer_cells: LayerCells) -> Tuple[np.ndarray, np.ndarray]:
+    """(sq_sums, counts) of one layer, reduced in a fixed order.
+
+    Batches outer, repeats inner, for every worker count and chunking:
+    float addition stays identical to the serial loop.
+    """
+    cells = layer_cells.cells
+    totals = np.zeros(cells.shape[1])
+    for j in range(cells.shape[1]):
+        total = 0.0
+        for b in range(cells.shape[0]):
+            for r in range(cells.shape[2]):
+                total += cells[b, j, r]
+        totals[j] = total
+    return totals, layer_cells.counts.copy()
+
+
 @dataclass
 class CampaignResult:
     """Reduced campaign output plus instrumentation."""
@@ -277,8 +298,15 @@ class InjectionEngine:
         seed: int,
         batch_size: int = 32,
         progress: bool = False,
+        on_layer: Optional[LayerSink] = None,
     ) -> CampaignResult:
-        """Execute the campaign for every layer in ``grids``."""
+        """Execute the campaign for every layer in ``grids``.
+
+        ``on_layer`` receives each layer's reduced sums as soon as that
+        layer's replay finishes (in layer order, on the calling thread,
+        for the serial and pooled paths alike) — the profiler stores
+        them there, so a crash mid-campaign loses only unfinished layers.
+        """
         names = list(grids)
         telemetry = self.telemetry
         timings = StageTimings(
@@ -311,6 +339,13 @@ class InjectionEngine:
             )
             for name in names
         ]
+        reduced: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+
+        def finish(layer_cells: LayerCells) -> None:
+            reduced[layer_cells.name] = reduce_layer_cells(layer_cells)
+            if on_layer is not None:
+                on_layer(layer_cells.name, *reduced[layer_cells.name])
+
         with _observed_stage(
             telemetry,
             timings,
@@ -321,33 +356,15 @@ class InjectionEngine:
         ) as replay_span:
             replay_id = replay_span.span_id if replay_span else None
             if settings.jobs == 1:
-                results = [
-                    self._run_serial_task(caches, task, progress)
-                    for task in tasks
-                ]
+                for task in tasks:
+                    finish(self._run_serial_task(caches, task, progress))
             elif settings.backend == "process":
-                results = self._run_process_pool(caches, tasks, replay_id)
+                self._run_process_pool(caches, tasks, finish, replay_id)
             else:
-                results = self._run_thread_pool(caches, tasks, replay_id)
+                self._run_thread_pool(caches, tasks, finish, replay_id)
         with _observed_stage(telemetry, timings, "reduce"):
-            sq_sums: Dict[str, np.ndarray] = {}
-            counts: Dict[str, np.ndarray] = {}
-            for task, layer_cells in zip(tasks, results):
-                name = task["name"]
-                cells = layer_cells.cells
-                num_deltas = cells.shape[1]
-                totals = np.zeros(num_deltas)
-                # Fixed reduction order (batches outer, repeats inner)
-                # keeps float addition identical to the serial loop for
-                # every worker count and chunking.
-                for j in range(num_deltas):
-                    total = 0.0
-                    for b in range(cells.shape[0]):
-                        for r in range(cells.shape[2]):
-                            total += cells[b, j, r]
-                    totals[j] = total
-                sq_sums[name] = totals
-                counts[name] = layer_cells.counts.copy()
+            sq_sums = {name: reduced[name][0] for name in names}
+            counts = {name: reduced[name][1] for name in names}
         return CampaignResult(
             sq_sums=sq_sums,
             counts=counts,
@@ -439,8 +456,9 @@ class InjectionEngine:
         self,
         tasks: Sequence[Dict[str, Any]],
         submit: Callable[[Dict[str, Any]], Any],
-    ) -> List[Any]:
-        """Gather results in task order, with transient retries.
+        finish: Callable[[Any], None],
+    ) -> None:
+        """Hand results to ``finish`` in task order, with transient retries.
 
         ``submit(task)`` returns a future.  All tasks launch up front;
         a task failing with :class:`TransientError` is resubmitted up
@@ -456,14 +474,13 @@ class InjectionEngine:
         for task in tasks:
             bus.stage("queued", f"engine.layer/{task['name']}")
         depth.set(len(futures))
-        results: List[Any] = []
         for task, future in zip(tasks, futures):
             name = task["name"]
             stage_name = f"engine.layer/{name}"
             failures: List[str] = []
             while True:
                 try:
-                    results.append(future.result())
+                    result = future.result()
                     depth.dec()
                     bus.stage(
                         "done", stage_name, retries=len(failures)
@@ -507,7 +524,7 @@ class InjectionEngine:
                         f"injection worker for layer {name!r} crashed: "
                         f"{exc!r}"
                     ) from exc
-        return results
+            finish(result)
 
     def _effective_workers(self) -> int:
         """``jobs`` capped at the cores actually available to us.
@@ -528,8 +545,9 @@ class InjectionEngine:
         self,
         caches: Sequence[ActivationCache],
         tasks: Sequence[Dict[str, Any]],
+        finish: Callable[[LayerCells], None],
         parent_id: Optional[str] = None,
-    ) -> List[LayerCells]:
+    ) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(
@@ -550,14 +568,15 @@ class InjectionEngine:
                     **task,
                 )
 
-            return self._collect(tasks, submit)
+            self._collect(tasks, submit, finish)
 
     def _run_process_pool(
         self,
         caches: Sequence[ActivationCache],
         tasks: Sequence[Dict[str, Any]],
+        finish: Callable[[LayerCells], None],
         parent_id: Optional[str] = None,
-    ) -> List[LayerCells]:
+    ) -> None:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
@@ -573,6 +592,23 @@ class InjectionEngine:
         shared = SharedCaches.create(
             caches, blobs={"network": pickle.dumps(self.network)}
         )
+
+        def absorb(item: Any) -> None:
+            cells, spans, snapshot = (
+                item
+                if isinstance(item, tuple)
+                else pickle.loads(item)
+            )
+            if spans:
+                # Worker-root spans (parent None in the worker's local
+                # tracer) re-parent under the replay span; perf_counter
+                # is system-wide monotonic on Linux, so starts stay
+                # comparable for the merge sort.
+                self.telemetry.tracer.absorb(spans, parent_id=parent_id)
+            if snapshot:
+                self.telemetry.metrics.merge(snapshot)
+            finish(cells)
+
         try:
             with ProcessPoolExecutor(
                 max_workers=self._effective_workers(),
@@ -592,23 +628,6 @@ class InjectionEngine:
                         self.telemetry.enabled,
                     )
 
-                raw = self._collect(tasks, submit)
+                self._collect(tasks, submit, absorb)
         finally:
             shared.release()
-        results: List[LayerCells] = []
-        for item in raw:
-            cells, spans, snapshot = (
-                item
-                if isinstance(item, tuple)
-                else pickle.loads(item)
-            )
-            if spans:
-                # Worker-root spans (parent None in the worker's local
-                # tracer) re-parent under the replay span; perf_counter
-                # is system-wide monotonic on Linux, so starts stay
-                # comparable for the merge sort.
-                self.telemetry.tracer.absorb(spans, parent_id=parent_id)
-            if snapshot:
-                self.telemetry.metrics.merge(snapshot)
-            results.append(cells)
-        return results

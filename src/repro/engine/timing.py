@@ -8,7 +8,8 @@ report where the speedups come from):
 ``reference``  clean forward passes that build the activation caches
 ``replay``     the injection trials themselves (the dominant stage)
 ``fit``        per-layer regression + diagnostics
-``reduce``     fixed-order reduction of the per-trial cells
+``reduce``     assembly of the per-layer sums (each layer's fixed-order
+               reduction runs as it finishes, inside ``replay``)
 
 Timings are cumulative across workers, measured on whichever thread
 runs the stage; with a pool the ``replay`` figure is summed CPU-side

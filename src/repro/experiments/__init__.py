@@ -41,13 +41,7 @@ from .distributed import (
     run_worker,
 )
 from .export import export_csv, export_json, load_json
-from .scheduler import (
-    SweepCellFailure,
-    SweepCellResult,
-    SweepReport,
-    SweepSpec,
-    run_sweep,
-)
+from .scheduler import SweepReport, SweepSpec, run_sweep
 from .ablate import (
     AblationSpec,
     build_campaign_cells,
@@ -85,8 +79,6 @@ __all__ = [
     "SUITE_EXPERIMENTS",
     "SchemeAgreementResult",
     "StabilityResult",
-    "SweepCellFailure",
-    "SweepCellResult",
     "SweepPlan",
     "SweepReport",
     "SweepSpec",

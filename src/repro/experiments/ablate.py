@@ -11,24 +11,25 @@ directory — across cells and across runs.
 Fault isolation is the campaign's contract: a crashing cell (including
 injected chaos) becomes a structured ``failed`` row carrying the error
 class, the pipeline stage, and a traceback digest, and every other
-cell still runs.  ``strict`` restores fail-fast.  With a state
-directory the campaign checkpoints each finished row and ``--resume``
-re-executes only the cells that failed or never ran; the campaign
-fingerprint pins the grid + configuration so a directory can never mix
-rows from two different campaigns.
+cell still runs.  ``strict`` restores fail-fast.  With a run
+directory (:mod:`repro.experiments.rundir`, ``repro ablate --run-dir``)
+the campaign publishes each finished row, and re-running on the same
+directory re-executes only the cells that failed or never ran; the
+campaign fingerprint pins the grid + configuration so a directory can
+never mix rows from two different campaigns.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
+from ..cache.keys import keyed_fields, make_key
 from ..errors import ReproError
 from ..robustness import (
     CampaignCell,
     CampaignRow,
-    CampaignState,
     baseline_variant,
     build_matrix,
     build_report,
@@ -36,9 +37,13 @@ from ..robustness import (
     resolve_scenario,
 )
 from ..robustness.report import AblationReport
-from ..telemetry.manifest import build_manifest, config_hash
+from ..telemetry.manifest import build_manifest
 from ..telemetry.session import Telemetry
 from .common import ExperimentConfig
+from .rundir import bind_plan, load_row, publish_row, slugify
+
+#: The campaign's plan file inside its run directory.
+PLAN_FILE = "ablate-plan.json"
 
 
 @dataclass(frozen=True)
@@ -118,36 +123,21 @@ def campaign_fingerprint(
 ) -> str:
     """Identity hash of the campaign: the grid + the configuration.
 
-    Chaos injection and the state directory are deliberately excluded:
-    a campaign crashed *by* chaos must resume cleanly without it, and
-    the resume directory names where state lives, not what is measured.
-    Observability knobs (telemetry, traces, the event bus) are excluded
-    for the same reason — they never touch what is measured, and a
-    resume must not be refused because monitoring was toggled.
+    Folds exactly the registry-KEYED fields of the spec and config (the
+    ones that can change a row's numbers) plus the cell ids.  Chaos
+    injection is excluded — a campaign crashed *by* chaos must resume
+    cleanly without it — and so are observability, worker counts and
+    cache wiring, which never touch what is measured.
     """
-    plain = asdict(config)
-    plain.pop("state_dir", None)
-    plain.pop("telemetry", None)
-    plain.pop("trace_out", None)
-    plain.pop("events_dir", None)
-    cells = build_campaign_cells(
-        AblationSpec(
-            models=tuple(spec.models),
-            accuracy_drop=spec.accuracy_drop,
-            objective=spec.objective,
-            components=spec.components,
-            scenarios=tuple(spec.scenarios),
-            chaos_cells=(),
-        ),
-        config,
+    cells = build_campaign_cells(replace(spec, chaos_cells=()), config)
+    return make_key(
+        {
+            "kind": "ablation-campaign",
+            "spec": keyed_fields(spec, "AblationSpec"),
+            "config": keyed_fields(config, "ExperimentConfig"),
+            "cells": [cell.cell_id for cell in cells],
+        }
     )
-    payload = {
-        "cells": [cell.cell_id for cell in cells],
-        "config": plain,
-        "accuracy_drop": spec.accuracy_drop,
-        "objective": spec.objective,
-    }
-    return config_hash(payload)
 
 
 def _campaign_manifest(
@@ -185,21 +175,27 @@ def run_ablation_campaign(
     """Execute (or resume) a campaign and measure component importance.
 
     ``config.strict`` turns the per-cell fault boundary off: the first
-    failing cell raises instead of becoming a ``failed`` row.  With
-    ``state_dir`` every finished row is checkpointed; on a re-run,
-    ``ok`` rows are loaded (marked ``resumed``) and only failed or
-    missing cells execute.
+    failing cell raises instead of becoming a ``failed`` row.
+    ``state_dir`` is the campaign's run directory: every finished row
+    is published there; on a re-run, ``ok`` rows are loaded (marked
+    ``resumed``) and only failed or missing cells execute.
     """
     spec = spec or AblationSpec()
     config = config or ExperimentConfig()
     cells = build_campaign_cells(spec, config)
     manifest = _campaign_manifest(spec, config, cells)
-    state: Optional[CampaignState] = None
     prior: Dict[str, CampaignRow] = {}
     if state_dir:
-        state = CampaignState(state_dir)
-        state.bind(campaign_fingerprint(spec, config))
-        prior = state.load_rows()
+        bind_plan(
+            state_dir,
+            PLAN_FILE,
+            {"fingerprint": manifest["config"]["campaign"]},
+            what="campaign",
+        )
+        for cell in cells:
+            payload = load_row(state_dir, slugify(cell.cell_id))
+            if payload is not None:
+                prior[cell.cell_id] = CampaignRow.from_dict(payload)
     telemetry = Telemetry.create(config.telemetry_settings())
     bus = telemetry.event_bus
     keep_going = not config.strict
@@ -243,8 +239,8 @@ def run_ablation_campaign(
             telemetry.metrics.counter(
                 f"ablate_cells_{row.status}_total"
             ).inc()
-            if state is not None:
-                state.save_row(row)
+            if state_dir:
+                publish_row(state_dir, slugify(cell.cell_id), row.as_dict())
             rows.append(row)
             executed.append(cell.cell_id)
             if row.status == "ok":

@@ -44,8 +44,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     #: Escalate guardrail warnings and solver degradation to errors.
     strict: bool = False
-    #: Directory for resumable run state ("" disables checkpointing).
-    state_dir: str = ""
     #: Worker count for the injection engine's layer-level pool
     #: (``--jobs``; 1 = serial, deterministic either way).
     jobs: int = 1
@@ -62,6 +60,7 @@ class ExperimentConfig:
     events_dir: str = ""
     #: Persistent result-cache directory (``--cache-dir``).  "" means
     #: "use $REPRO_CACHE_DIR if set, else no persistent cache".
+    #: Re-running with the same directory resumes an interrupted run.
     cache_dir: str = ""
     #: Force the persistent cache off even if a directory or the
     #: environment names one (``--no-cache``).
@@ -155,7 +154,6 @@ def make_context(
         search_settings=config.search_settings(),
         scheme=config.scheme,
         strict=config.strict,
-        state_dir=config.state_dir or None,
         parallel=config.parallel_settings(),
         telemetry=config.telemetry_settings(),
         cache=config.resolved_cache_dir(),

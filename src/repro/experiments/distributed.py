@@ -15,11 +15,11 @@ attach to:
     mixing configurations in one run directory would silently corrupt
     the report.
 ``cells/<slug>.json``
-    One published result per finished cell, written atomically
-    (temp file + ``os.replace``).  Publication is **idempotent**: a
-    cell's row is a pure function of the plan (timing and worker
-    attribution aside), so duplicate completion republishes identical
-    rows and the last writer wins.
+    One published :class:`~repro.robustness.rows.CellRow` per finished
+    cell (:mod:`repro.experiments.rundir`, atomic write-then-rename).
+    Publication is **idempotent**: a cell's row is a pure function of
+    the plan (timing and worker attribution aside), so duplicate
+    completion republishes identical rows and the last writer wins.
 ``leases/<slug>.lease``
     In-flight claims (:mod:`repro.cache.leases`): O_CREAT|O_EXCL
     acquisition, mtime heartbeats, TTL expiry, atomic steal.  A worker
@@ -45,7 +45,7 @@ single-cell grid, so report rows are bit-identical to the serial
 scheduler (and to the naive per-cell loop) for any worker count,
 any interleaving, and any crash/re-dispatch history.  Only
 ``elapsed_seconds`` and ``worker`` attribution vary — compare rows
-with :meth:`~repro.experiments.scheduler.SweepCellResult.identity_dict`.
+with :meth:`~repro.robustness.rows.CellRow.identity_dict`.
 
 See ``docs/distributed.md`` for the protocol and multi-host setup.
 """
@@ -53,7 +53,6 @@ See ``docs/distributed.md`` for the protocol and multi-host setup.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import subprocess
 import sys
@@ -65,7 +64,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..cache.keys import KEY_FIELD_REGISTRY, KEYED, make_key
+from ..cache.keys import keyed_fields, make_key
 from ..cache.leases import (
     LEASE_SUFFIX,
     LeaseHeartbeat,
@@ -75,29 +74,30 @@ from ..cache.leases import (
     steal_expired_lease,
 )
 from ..errors import ReproError
-from ..robustness.faults import FailureRecord, classify_failure
+from ..robustness.faults import classify_failure
+from ..robustness.rows import CellRow
 from ..telemetry.events import EventBus, open_event_bus
 from ..telemetry.manifest import build_manifest
 from ..telemetry.resources import sample_resources
 from .common import ExperimentConfig
-from .scheduler import (
-    SweepCellFailure,
-    SweepCellResult,
-    SweepReport,
-    SweepSpec,
-    run_sweep,
-    sweep_cell_id,
+from .rundir import (
+    CELLS_DIR,
+    RUN_DIR_SCHEMA,
+    bind_plan,
+    load_row,
+    publish_row,
+    read_json,
+    read_plan,
+    row_path,
+    write_json,
 )
+from .scheduler import SweepReport, SweepSpec, run_sweep, sweep_cell_id
 
 PathLike = Union[str, Path]
 Cell = Tuple[str, float, str]
 
-#: Bumped when the run-directory layout changes incompatibly.
-DISTRIBUTED_SCHEMA_VERSION = 1
-
 PLAN_FILE = "sweep-plan.json"
 MANIFEST_FILE = "manifest.json"
-CELLS_DIR = "cells"
 LEASES_DIR = "leases"
 WORKERS_DIR = "workers"
 COORDINATOR_EVENTS = "events-coordinator.jsonl"
@@ -137,19 +137,6 @@ class SweepPlan:
     synthetic_seconds: float = 0.0
 
 
-def _registry_keyed_fields(obj: Any, class_name: str) -> Dict[str, Any]:
-    """The KEYED fields of a registered dataclass, by registry."""
-    table = KEY_FIELD_REGISTRY[class_name]
-    out: Dict[str, Any] = {}
-    for name, disposition in sorted(table.items()):
-        if disposition == KEYED:
-            value = getattr(obj, name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[name] = value
-    return out
-
-
 def plan_fingerprint(
     spec: SweepSpec,
     config: ExperimentConfig,
@@ -165,9 +152,9 @@ def plan_fingerprint(
     return make_key(
         {
             "kind": "distributed-sweep",
-            "schema": DISTRIBUTED_SCHEMA_VERSION,
-            "spec": _registry_keyed_fields(spec, "SweepSpec"),
-            "config": _registry_keyed_fields(config, "ExperimentConfig"),
+            "schema": RUN_DIR_SCHEMA,
+            "spec": keyed_fields(spec, "SweepSpec"),
+            "config": keyed_fields(config, "ExperimentConfig"),
             "synthetic_seconds": float(synthetic_seconds),
         }
     )
@@ -176,25 +163,6 @@ def plan_fingerprint(
 def cell_slug(model: str, drop: float, objective: str) -> str:
     """Filesystem-safe unique name of one grid cell."""
     return f"{model}__drop{drop:g}__{objective}"
-
-
-def _atomic_write_json(path: Path, payload: Any) -> None:
-    """Write-then-rename publication (atomic on POSIX)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=".tmp-", suffix=".json"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        os.replace(tmp_name, path)
-    except OSError:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 # ----------------------------------------------------------------------
@@ -210,59 +178,31 @@ def publish_plan(
 
     Re-publishing into an existing run directory is the **resume**
     path: the plan must fingerprint-match, published cells are kept,
-    and only missing cells execute.  A mismatch is refused — a run
-    directory binds to exactly one configuration.
+    and only missing cells execute.  A mismatch raises
+    :class:`~repro.errors.ResumeError` — a run directory binds to
+    exactly one configuration.
     """
-    run_path = Path(run_dir)
-    plan = SweepPlan(
-        spec=spec,
-        config=config,
-        fingerprint=plan_fingerprint(spec, config, synthetic_seconds),
-        synthetic_seconds=float(synthetic_seconds),
-    )
-    plan_path = run_path / PLAN_FILE
-    if plan_path.exists():
-        existing = load_plan(run_dir)
-        if existing.fingerprint != plan.fingerprint:
-            raise ReproError(
-                f"run directory {run_path} holds a different sweep "
-                f"(plan fingerprint {existing.fingerprint[:12]} != "
-                f"{plan.fingerprint[:12]}); use a fresh --run-dir or "
-                "delete the old one"
-            )
-        return existing
-    payload = {
-        "schema": DISTRIBUTED_SCHEMA_VERSION,
-        "fingerprint": plan.fingerprint,
-        "synthetic_seconds": plan.synthetic_seconds,
-        "spec": {
-            "models": list(spec.models),
-            "accuracy_drops": [float(d) for d in spec.accuracy_drops],
-            "objectives": list(spec.objectives),
+    bind_plan(
+        run_dir,
+        PLAN_FILE,
+        {
+            "fingerprint": plan_fingerprint(spec, config, synthetic_seconds),
+            "synthetic_seconds": float(synthetic_seconds),
+            "spec": {
+                "models": list(spec.models),
+                "accuracy_drops": [float(d) for d in spec.accuracy_drops],
+                "objectives": list(spec.objectives),
+            },
+            "config": dataclasses.asdict(config),
         },
-        "config": dataclasses.asdict(config),
-    }
-    _atomic_write_json(plan_path, payload)
-    return plan
+        what="sweep",
+    )
+    return load_plan(run_dir)
 
 
 def load_plan(run_dir: PathLike) -> SweepPlan:
     """Attach to a run directory; raises when no valid plan exists."""
-    plan_path = Path(run_dir) / PLAN_FILE
-    try:
-        payload = json.loads(plan_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ReproError(
-            f"{plan_path} is not a distributed sweep run directory "
-            f"(no readable plan): {exc}"
-        ) from exc
-    except ValueError as exc:
-        raise ReproError(f"{plan_path} is not valid JSON: {exc}") from exc
-    if payload.get("schema") != DISTRIBUTED_SCHEMA_VERSION:
-        raise ReproError(
-            f"{plan_path}: plan schema {payload.get('schema')!r} is not "
-            f"{DISTRIBUTED_SCHEMA_VERSION}"
-        )
+    payload = read_plan(run_dir, PLAN_FILE, what="distributed sweep")
     spec_raw = payload["spec"]
     spec = SweepSpec(
         models=tuple(str(m) for m in spec_raw["models"]),
@@ -276,9 +216,10 @@ def load_plan(run_dir: PathLike) -> SweepPlan:
     fingerprint = plan_fingerprint(spec, config, synthetic)
     if fingerprint != payload.get("fingerprint"):
         raise ReproError(
-            f"{plan_path}: stored fingerprint does not match the "
-            "recomputed one; the plan file was edited or the code "
-            "version changed (CODE_SALT) — start a fresh run directory"
+            f"{Path(run_dir) / PLAN_FILE}: stored fingerprint does not "
+            "match the recomputed one; the plan file was edited or the "
+            "code version changed (CODE_SALT) — start a fresh run "
+            "directory"
         )
     return SweepPlan(
         spec=spec,
@@ -292,7 +233,7 @@ def load_plan(run_dir: PathLike) -> SweepPlan:
 # Cell publication
 # ----------------------------------------------------------------------
 def result_path(run_dir: PathLike, cell: Cell) -> Path:
-    return Path(run_dir) / CELLS_DIR / (cell_slug(*cell) + ".json")
+    return row_path(run_dir, cell_slug(*cell))
 
 
 def lease_path(run_dir: PathLike, cell: Cell) -> Path:
@@ -301,66 +242,13 @@ def lease_path(run_dir: PathLike, cell: Cell) -> Path:
 
 def load_cell_row(run_dir: PathLike, cell: Cell) -> Optional[Dict[str, Any]]:
     """A published cell row, or None (missing/torn = not published)."""
-    try:
-        payload = json.loads(
-            result_path(run_dir, cell).read_text(encoding="utf-8")
-        )
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    return payload
-
-
-def _row_from_cell_result(cell: SweepCellResult) -> Dict[str, Any]:
-    row = cell.as_dict()
-    row["status"] = "ok"
-    # Not part of as_dict() but needed to reconstruct the dataclass.
-    row["target_accuracy"] = cell.target_accuracy
-    return row
-
-
-def _result_from_row(row: Dict[str, Any]) -> SweepCellResult:
-    return SweepCellResult(
-        model=str(row["model"]),
-        accuracy_drop=float(row["drop"]),
-        objective=str(row["objective"]),
-        sigma=float(row["sigma"]),
-        effective_input_bits=float(row["eff_input_bits"]),
-        effective_mac_bits=float(row["eff_mac_bits"]),
-        baseline_accuracy=float(row["baseline_accuracy"]),
-        validated_accuracy=(
-            None
-            if row.get("validated_accuracy") is None
-            else float(row["validated_accuracy"])
-        ),
-        target_accuracy=float(row["target_accuracy"]),
-        bitwidths={
-            str(k): int(v) for k, v in dict(row["bitwidths"]).items()
-        },
-        degraded=bool(row["degraded"]),
-        elapsed_seconds=float(row["elapsed_seconds"]),
-    )
-
-
-def _failure_from_row(row: Dict[str, Any]) -> SweepCellFailure:
-    return SweepCellFailure(
-        model=str(row["model"]),
-        accuracy_drop=(
-            None if row.get("drop") is None else float(row["drop"])
-        ),
-        objective=(
-            None if row.get("objective") is None else str(row["objective"])
-        ),
-        failure=FailureRecord.from_dict(row["failure"]),
-        elapsed_seconds=float(row["elapsed_seconds"]),
-    )
+    return load_row(run_dir, cell_slug(*cell))
 
 
 # ----------------------------------------------------------------------
 # Cell execution
 # ----------------------------------------------------------------------
-def _synthetic_cell_row(plan: SweepPlan, cell: Cell) -> Dict[str, Any]:
+def _synthetic_cell_row(plan: SweepPlan, cell: Cell) -> CellRow:
     """Deterministic pseudo-result for coordination-layer benchmarks.
 
     Values are pure functions of (fingerprint, cell), so synthetic rows
@@ -375,51 +263,47 @@ def _synthetic_cell_row(plan: SweepPlan, cell: Cell) -> Dict[str, Any]:
     ).hexdigest()
     unit = int(digest[:8], 16) / float(2**32)
     time.sleep(plan.synthetic_seconds)
-    return {
-        "status": "ok",
-        "model": model,
-        "drop": drop,
-        "objective": objective,
-        "sigma": round(0.05 + 0.5 * unit, 6),
-        "eff_input_bits": round(4.0 + 8.0 * unit, 6),
-        "eff_mac_bits": round(8.0 + 16.0 * unit, 6),
-        "baseline_accuracy": 1.0,
-        "validated_accuracy": round(1.0 - drop * unit, 6),
-        "target_accuracy": round(1.0 - drop, 6),
-        "meets_constraint": True,
-        "bitwidths": {"synthetic": 8},
-        "degraded": False,
-        "elapsed_seconds": plan.synthetic_seconds,
-    }
+    return CellRow(
+        model=model,
+        accuracy_drop=drop,
+        objective=objective,
+        sigma=round(0.05 + 0.5 * unit, 6),
+        effective_input_bits=round(4.0 + 8.0 * unit, 6),
+        effective_mac_bits=round(8.0 + 16.0 * unit, 6),
+        baseline_accuracy=1.0,
+        validated_accuracy=round(1.0 - drop * unit, 6),
+        meets_constraint=True,
+        bitwidths={"synthetic": 8},
+        degraded=False,
+        elapsed_seconds=plan.synthetic_seconds,
+    )
+
+
+def _published(row: CellRow, **attribution: Any) -> Dict[str, Any]:
+    """A row as published: the row plus status and attribution keys."""
+    return dict(row.as_dict(), status=row.status, **attribution)
 
 
 def execute_cell(plan: SweepPlan, cell: Cell) -> Dict[str, Any]:
     """One cell through the existing ``run_sweep`` cell path.
 
-    The worker-local config strips run-level observability and the
-    single-process checkpoint directory: the run directory owns the
-    event lifecycle, and cell-granular resume comes from published
-    results plus the shared content-addressed store.
+    The worker-local config strips run-level observability: the run
+    directory owns the event lifecycle, and cell-granular resume comes
+    from published results plus the shared content-addressed store.
     """
     if plan.synthetic_seconds > 0:
-        return _synthetic_cell_row(plan, cell)
+        return _published(_synthetic_cell_row(plan, cell))
     model, drop, objective = cell
     spec = SweepSpec(
         models=(model,), accuracy_drops=(drop,), objectives=(objective,)
     )
-    config = replace(
-        plan.config, events_dir="", trace_out="", state_dir=""
-    )
+    config = replace(plan.config, events_dir="", trace_out="")
     report = run_sweep(spec, config, keep_going=True)
-    if report.cells:
-        row = _row_from_cell_result(report.cells[0])
-    else:
-        failure = report.failures[0]
-        row = failure.as_dict()
-        row["failure"] = failure.failure.as_dict()
-    row["cache_hits"] = report.cache_counters.get("hits", 0)
-    row["cache_misses"] = report.cache_counters.get("misses", 0)
-    return row
+    return _published(
+        (report.cells or report.failures)[0],
+        cache_hits=report.cache_counters.get("hits", 0),
+        cache_misses=report.cache_counters.get("misses", 0),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -435,15 +319,6 @@ class WorkerReport:
     leases_stolen: int = 0
     elapsed_seconds: float = 0.0
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "worker_id": self.worker_id,
-            "cells_claimed": self.cells_claimed,
-            "cells_published": self.cells_published,
-            "leases_stolen": self.leases_stolen,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
 
 def default_worker_id() -> str:
     return f"w{os.getpid()}-{uuid.uuid4().hex[:4]}"
@@ -453,11 +328,9 @@ def _write_worker_record(
     run_dir: Path, report: WorkerReport
 ) -> None:
     """Publish the worker's resource-profiler sample for the manifest."""
-    record = report.as_dict()
+    record = dataclasses.asdict(report)
     record["resources"] = dataclasses.asdict(sample_resources())
-    _atomic_write_json(
-        run_dir / WORKERS_DIR / f"{report.worker_id}.json", record
-    )
+    write_json(run_dir / WORKERS_DIR / f"{report.worker_id}.json", record)
 
 
 def _claim_one(
@@ -541,18 +414,17 @@ def run_worker(
             # so a deterministically-crashing cell is not re-dispatched
             # forever.
             except Exception as exc:  # repro-check: ignore[overbroad-except]
-                failure = classify_failure(exc)
-                row = {
-                    "status": "failed",
-                    "model": cell[0],
-                    "drop": cell[1],
-                    "objective": cell[2],
-                    "failure": failure.as_dict(),
-                }
-                row.update(failure.as_dict())
+                row = _published(
+                    CellRow(
+                        model=cell[0],
+                        accuracy_drop=cell[1],
+                        objective=cell[2],
+                        failure=classify_failure(exc),
+                    )
+                )
             row["elapsed_seconds"] = time.perf_counter() - cell_start
             row["worker"] = worker_id
-            _atomic_write_json(result_path(run_path, cell), row)
+            publish_row(run_path, cell_slug(*cell), row)
             lease.release()
             report.cells_published += 1
             if row.get("status") == "failed":
@@ -643,10 +515,11 @@ def collect_report(
         if row is None:
             missing.append(sweep_cell_id(*cell))
             continue
-        if row.get("status") == "failed":
-            report.failures.append(_failure_from_row(row))
+        result = CellRow.from_dict(row)
+        if result.status == "failed":
+            report.failures.append(result)
         else:
-            report.cells.append(_result_from_row(row))
+            report.cells.append(result)
             for key in ("hits", "misses"):
                 totals[key] = totals.get(key, 0) + int(
                     row.get(f"cache_{key}", 0)
@@ -664,16 +537,10 @@ def collect_report(
 
 def _worker_records(run_dir: Path) -> Dict[str, Any]:
     records: Dict[str, Any] = {}
-    workers_dir = run_dir / WORKERS_DIR
-    if not workers_dir.is_dir():
-        return records
-    for path in sorted(workers_dir.glob("*.json")):
-        try:
-            records[path.stem] = json.loads(
-                path.read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):  # pragma: no cover - torn record
-            continue
+    for path in sorted((run_dir / WORKERS_DIR).glob("*.json")):
+        record = read_json(path)
+        if record is not None:
+            records[path.stem] = record
     return records
 
 
@@ -697,7 +564,7 @@ def write_run_manifest(
     workers = _worker_records(run_path)
     num_cells = plan.spec.num_cells
     payload = {
-        "schema": DISTRIBUTED_SCHEMA_VERSION,
+        "schema": RUN_DIR_SCHEMA,
         "manifest": manifest.as_dict(),
         "workers": workers,
         "num_workers": len(workers),
@@ -707,7 +574,7 @@ def write_run_manifest(
             num_cells / elapsed_seconds if elapsed_seconds > 0 else 0.0
         ),
     }
-    _atomic_write_json(run_path / MANIFEST_FILE, payload)
+    write_json(run_path / MANIFEST_FILE, payload)
     return payload
 
 
@@ -812,7 +679,6 @@ def run_sweep_distributed(
 __all__ = [
     "CELLS_DIR",
     "COORDINATOR_EVENTS",
-    "DISTRIBUTED_SCHEMA_VERSION",
     "DistributedSettings",
     "LEASES_DIR",
     "MANIFEST_FILE",

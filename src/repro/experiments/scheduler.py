@@ -28,7 +28,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import ReproError
 from ..optimize import input_bandwidth_objective, mac_energy_objective
-from ..robustness.faults import FailureRecord, classify_failure
+from ..robustness.faults import classify_failure
+from ..robustness.rows import CellRow
 from ..telemetry.events import open_event_bus
 from ..telemetry.resources import sample_resources
 from .common import ExperimentConfig, ExperimentContext, make_context
@@ -64,87 +65,15 @@ class SweepSpec:
 
 
 @dataclass
-class SweepCellResult:
-    """One finished grid cell."""
-
-    model: str
-    accuracy_drop: float
-    objective: str
-    sigma: float
-    effective_input_bits: float
-    effective_mac_bits: float
-    baseline_accuracy: float
-    validated_accuracy: Optional[float]
-    target_accuracy: float
-    bitwidths: Dict[str, int]
-    degraded: bool
-    elapsed_seconds: float
-
-    @property
-    def meets_constraint(self) -> Optional[bool]:
-        if self.validated_accuracy is None:
-            return None
-        return self.validated_accuracy >= self.target_accuracy
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "model": self.model,
-            "drop": self.accuracy_drop,
-            "objective": self.objective,
-            "sigma": self.sigma,
-            "eff_input_bits": self.effective_input_bits,
-            "eff_mac_bits": self.effective_mac_bits,
-            "baseline_accuracy": self.baseline_accuracy,
-            "validated_accuracy": self.validated_accuracy,
-            "meets_constraint": self.meets_constraint,
-            "bitwidths": self.bitwidths,
-            "degraded": self.degraded,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    def identity_dict(self) -> Dict[str, object]:
-        """The row minus wall-clock timing: the bit-identity surface.
-
-        Two cells computed from the same inputs must agree on exactly
-        this dict — across serial vs distributed execution, any worker
-        count, and any crash/re-dispatch history.  Only
-        ``elapsed_seconds`` legitimately differs between runs.
-        """
-        row = self.as_dict()
-        del row["elapsed_seconds"]
-        return row
-
-
-@dataclass
-class SweepCellFailure:
-    """One grid cell that raised instead of finishing (``keep_going``)."""
-
-    model: str
-    accuracy_drop: Optional[float]
-    objective: Optional[str]
-    failure: FailureRecord
-    elapsed_seconds: float
-
-    def as_dict(self) -> Dict[str, object]:
-        row: Dict[str, object] = {
-            "model": self.model,
-            "drop": self.accuracy_drop,
-            "objective": self.objective,
-            "status": "failed",
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-        row.update(self.failure.as_dict())
-        return row
-
-
-@dataclass
 class SweepReport:
     """Every cell of a finished sweep plus shared-work accounting."""
 
-    cells: List[SweepCellResult] = field(default_factory=list)
+    #: Finished cells (``status == "ok"``).
+    cells: List[CellRow] = field(default_factory=list)
     #: Cells that raised, recorded instead of aborting the grid
-    #: (only populated when ``run_sweep(..., keep_going=True)``).
-    failures: List[SweepCellFailure] = field(default_factory=list)
+    #: (``status == "failed"``; only populated when
+    #: ``run_sweep(..., keep_going=True)``).
+    failures: List[CellRow] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     #: Persistent-cache counters summed over every model's optimizer
     #: (zeros when the sweep ran without a cache directory).
@@ -153,9 +82,6 @@ class SweepReport:
 
     def rows(self) -> List[Dict[str, object]]:
         return [cell.as_dict() for cell in self.cells]
-
-    def failure_rows(self) -> List[Dict[str, object]]:
-        return [failure.as_dict() for failure in self.failures]
 
     def lines(self) -> List[str]:
         out = []
@@ -280,7 +206,7 @@ def run_sweep(
                     if cell_model != model:
                         continue
                     report.failures.append(
-                        SweepCellFailure(
+                        CellRow(
                             model=model,
                             accuracy_drop=drop,
                             objective=objective,
@@ -311,7 +237,7 @@ def run_sweep(
                         raise
                     failure = classify_failure(exc)
                     report.failures.append(
-                        SweepCellFailure(
+                        CellRow(
                             model=model,
                             accuracy_drop=drop,
                             objective=objective,
@@ -337,7 +263,7 @@ def run_sweep(
                 if _restored_total(optimizer) > restored_before:
                     bus.cell("cached-hit", cell_id)
                 allocation = outcome.result.allocation
-                cell = SweepCellResult(
+                cell = CellRow(
                     model=model,
                     accuracy_drop=drop,
                     objective=objective,
@@ -346,7 +272,7 @@ def run_sweep(
                     effective_mac_bits=allocation.effective_bitwidth(rho_mac),
                     baseline_accuracy=outcome.baseline_accuracy,
                     validated_accuracy=outcome.validated_accuracy,
-                    target_accuracy=outcome.sigma_result.target_accuracy,
+                    meets_constraint=outcome.meets_constraint,
                     bitwidths=outcome.bitwidths,
                     degraded=outcome.degraded,
                     elapsed_seconds=cell_elapsed,

@@ -5,8 +5,8 @@ substrate objects and injects configurable faults on a *seeded,
 deterministic schedule*, so the `tests/resilience/` suite can prove
 every degradation path end-to-end — NaN activations must trip the
 guardrails, transient evaluator exceptions must be retried, a simulated
-crash mid-profiling must be resumable, and SLSQP non-convergence must
-degrade to equal-xi.
+crash mid-profiling must be resumable through the persistent store, and
+SLSQP non-convergence must degrade to equal-xi.
 
 Nothing here is imported by the production pipeline; it is a test
 harness shipped as library code so downstream users can chaos-test
@@ -247,14 +247,15 @@ def crash_after_layers(
     num_repeats: int,
     num_batches: int = 1,
 ) -> FaultSchedule:
-    """Schedule a crash once ``completed`` layer campaigns finished.
+    """Schedule a crash once ``completed`` layers finished profiling.
 
-    Helper for resume tests with :func:`resumable_profile`, which runs
-    one ``profile([name])`` campaign per layer.  Each campaign issues,
-    in network-forward events: one scale pass, then per batch one
-    ``run_all`` plus ``num_delta_points * num_repeats`` partial
-    re-executions.  The crash fires on the first event of campaign
-    ``completed`` — i.e. after exactly that many layers checkpointed.
+    Helper for resume tests of :meth:`ErrorProfiler.profile` on the
+    injection engine (serial, cold store), which issues, in
+    network-forward events: one input-scale pass, one reference
+    ``run_all`` per batch, then per layer ``num_batches *
+    num_delta_points * num_repeats`` injection trials.  The crash fires
+    on the first trial of layer ``completed`` — i.e. after exactly that
+    many layers were stored.
     """
-    per_layer = 1 + num_batches * (1 + num_delta_points * num_repeats)
-    return FaultSchedule.once(completed * per_layer)
+    per_layer = num_batches * num_delta_points * num_repeats
+    return FaultSchedule.once(1 + num_batches + completed * per_layer)

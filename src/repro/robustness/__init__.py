@@ -9,9 +9,10 @@ The package turns the pipeline's robustness story into measurements:
   + one variant per toggled component),
 * :mod:`~repro.robustness.scenarios` — substrate perturbations
   (input shift, weight noise, odd topologies, extreme drop targets),
+* :mod:`~repro.robustness.rows` — the one row type every grid records
+  (:class:`CellRow`; :class:`CampaignRow` adds campaign identity),
 * :mod:`~repro.robustness.runner` — fault-isolated execution of one
   campaign cell,
-* :mod:`~repro.robustness.state` — resumable on-disk campaign state,
 * :mod:`~repro.robustness.report` — measured component importance and
   scenario verdicts.
 
@@ -35,9 +36,9 @@ from .report import (
     ScenarioEntry,
     build_report,
 )
+from .rows import CampaignRow, CellRow
 from .runner import (
     CampaignCell,
-    CampaignRow,
     build_cell_context,
     cell_config,
     execute_cell,
@@ -51,10 +52,8 @@ from .scenarios import (
     perturb_network_weights,
     resolve_scenario,
 )
-from .state import CAMPAIGN_STATE_VERSION, CampaignState
 
 __all__ = [
-    "CAMPAIGN_STATE_VERSION",
     "COMPONENT_BUILDERS",
     "DEFAULT_COMPONENTS",
     "DEFAULT_SCENARIOS",
@@ -62,7 +61,7 @@ __all__ = [
     "AblationReport",
     "CampaignCell",
     "CampaignRow",
-    "CampaignState",
+    "CellRow",
     "FailureRecord",
     "ImportanceEntry",
     "MatrixVariant",

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from .runner import CampaignRow
+from .rows import CampaignRow
 
 #: Effective-bits saving below which a variant is measurement noise.
 HARMFUL_BITS_THRESHOLD = 0.01

@@ -16,12 +16,12 @@ CI smoke prove the fault isolation end-to-end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..errors import ReproError
-from .faults import FailureRecord
 from .matrix import MatrixVariant
+from .rows import CampaignRow
 from .scenarios import (
     Scenario,
     build_scenario_network,
@@ -48,113 +48,6 @@ class CampaignCell:
     objective: str
     #: Inject a SimulatedCrash on the cell's first forward event.
     chaos: bool = False
-
-
-@dataclass
-class CampaignRow:
-    """The recorded outcome of one cell — ``ok`` or structured ``failed``."""
-
-    cell_id: str
-    kind: str
-    #: Component name for matrix cells, scenario name for scenario
-    #: cells, "" for the baseline.
-    group: str
-    variant: str
-    model: str
-    accuracy_drop: float
-    objective: str
-    status: str
-    elapsed_seconds: float
-    #: True when the row was loaded from campaign state, not executed.
-    resumed: bool = False
-    sigma: Optional[float] = None
-    effective_input_bits: Optional[float] = None
-    effective_mac_bits: Optional[float] = None
-    baseline_accuracy: Optional[float] = None
-    validated_accuracy: Optional[float] = None
-    target_accuracy: Optional[float] = None
-    meets_constraint: Optional[bool] = None
-    degraded: Optional[bool] = None
-    bitwidths: Optional[Dict[str, int]] = None
-    failure: Optional[FailureRecord] = None
-    cache_counters: Dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "cell_id": self.cell_id,
-            "kind": self.kind,
-            "group": self.group,
-            "variant": self.variant,
-            "model": self.model,
-            "accuracy_drop": self.accuracy_drop,
-            "objective": self.objective,
-            "status": self.status,
-            "elapsed_seconds": self.elapsed_seconds,
-            "resumed": self.resumed,
-            "sigma": self.sigma,
-            "effective_input_bits": self.effective_input_bits,
-            "effective_mac_bits": self.effective_mac_bits,
-            "baseline_accuracy": self.baseline_accuracy,
-            "validated_accuracy": self.validated_accuracy,
-            "target_accuracy": self.target_accuracy,
-            "meets_constraint": self.meets_constraint,
-            "degraded": self.degraded,
-            "bitwidths": self.bitwidths,
-            "cache_counters": dict(self.cache_counters),
-        }
-        payload["failure"] = (
-            None if self.failure is None else self.failure.as_dict()
-        )
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CampaignRow":
-        failure = payload.get("failure")
-        bitwidths = payload.get("bitwidths")
-        return cls(
-            cell_id=str(payload["cell_id"]),
-            kind=str(payload["kind"]),
-            group=str(payload["group"]),
-            variant=str(payload["variant"]),
-            model=str(payload["model"]),
-            accuracy_drop=float(payload["accuracy_drop"]),
-            objective=str(payload["objective"]),
-            status=str(payload["status"]),
-            elapsed_seconds=float(payload["elapsed_seconds"]),
-            resumed=bool(payload.get("resumed", False)),
-            sigma=_opt_float(payload.get("sigma")),
-            effective_input_bits=_opt_float(
-                payload.get("effective_input_bits")
-            ),
-            effective_mac_bits=_opt_float(payload.get("effective_mac_bits")),
-            baseline_accuracy=_opt_float(payload.get("baseline_accuracy")),
-            validated_accuracy=_opt_float(payload.get("validated_accuracy")),
-            target_accuracy=_opt_float(payload.get("target_accuracy")),
-            meets_constraint=_opt_bool(payload.get("meets_constraint")),
-            degraded=_opt_bool(payload.get("degraded")),
-            bitwidths=(
-                None
-                if bitwidths is None
-                else {str(k): int(v) for k, v in dict(bitwidths).items()}
-            ),
-            failure=(
-                None
-                if failure is None
-                else FailureRecord.from_dict(dict(failure))
-            ),
-            cache_counters={
-                str(k): int(v)
-                for k, v in dict(payload.get("cache_counters", {})).items()
-            },
-        )
-
-
-def _opt_float(value: Any) -> Optional[float]:
-    return None if value is None else float(value)
-
-
-def _opt_bool(value: Any) -> Optional[bool]:
-    return None if value is None else bool(value)
 
 
 # ----------------------------------------------------------------------
@@ -235,11 +128,6 @@ def build_cell_context(
         search_settings=config.search_settings(),
         scheme=config.scheme,
         strict=config.strict,
-        # Per-cell optimizer checkpointing stays off: campaigns resume
-        # at cell granularity via CampaignState, and sharing one
-        # RunState directory across variants would mix incompatible
-        # sigma checkpoints (e.g. scheme1 vs scheme2).
-        state_dir=None,
         parallel=parallel,
         telemetry=(
             telemetry
@@ -266,14 +154,8 @@ def _equal_scheme_optimize(optimizer: Any, objective: str, drop: float) -> Any:
 def cell_config(
     cell: CampaignCell, base_config: "ExperimentConfig"
 ) -> "ExperimentConfig":
-    """The cell's effective experiment configuration.
-
-    The campaign state directory (``state_dir``) is stripped: it
-    identifies the *campaign*, not any single optimizer run.
-    """
-    return cell.variant.apply(
-        replace(base_config, model=cell.model, state_dir="")
-    )
+    """The cell's effective experiment configuration."""
+    return cell.variant.apply(replace(base_config, model=cell.model))
 
 
 def execute_cell(
@@ -316,52 +198,26 @@ def execute_cell(
         ),
         optimize_fn=optimize_fn,
     )
-    group = cell.scenario.name if cell.scenario else cell.variant.component
-    common: Dict[str, Any] = {
-        "cell_id": cell.cell_id,
-        "kind": cell.kind,
-        "group": group,
-        "variant": (
-            cell.scenario.name if cell.scenario else cell.variant.name
-        ),
-        "model": cell.model,
-        "accuracy_drop": cell.accuracy_drop,
-        "objective": cell.objective,
-        "cache_counters": dict(report.cache_counters),
-    }
-    if report.cells:
-        result = report.cells[0]
-        return CampaignRow(
-            status="ok",
-            elapsed_seconds=result.elapsed_seconds,
-            sigma=result.sigma,
-            effective_input_bits=result.effective_input_bits,
-            effective_mac_bits=result.effective_mac_bits,
-            baseline_accuracy=result.baseline_accuracy,
-            validated_accuracy=result.validated_accuracy,
-            target_accuracy=result.target_accuracy,
-            meets_constraint=result.meets_constraint,
-            degraded=result.degraded,
-            bitwidths=dict(result.bitwidths),
-            **common,
-        )
-    if not report.failures:
+    rows = report.cells or report.failures
+    if not rows:
         raise ReproError(
             f"cell {cell.cell_id!r} produced neither a result nor a "
             "failure record"
         )
-    failed = report.failures[0]
     return CampaignRow(
-        status="failed",
-        elapsed_seconds=failed.elapsed_seconds,
-        failure=failed.failure,
-        **common,
+        **vars(rows[0]),
+        cell_id=cell.cell_id,
+        kind=cell.kind,
+        group=(
+            cell.scenario.name if cell.scenario else cell.variant.component
+        ),
+        variant=cell.scenario.name if cell.scenario else cell.variant.name,
+        cache_counters=dict(report.cache_counters),
     )
 
 
 __all__ = [
     "CampaignCell",
-    "CampaignRow",
     "build_cell_context",
     "cell_config",
     "execute_cell",

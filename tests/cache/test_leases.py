@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -166,6 +167,112 @@ class TestSteal:
             t.join()
         assert len(wins) == 1
         assert read_lease(lease_path)["owner"] in {w for w in wins}
+
+
+def _expire(path):
+    past = time.time() - 120.0
+    os.utime(path, (past, past))
+
+
+def _steal_round(path, settings, workers=8):
+    """One expired lease, ``workers`` threads stealing at once."""
+    acquire_lease(path, "w0")
+    _expire(path)
+    barrier = threading.Barrier(workers, timeout=30)
+    wins = []
+
+    def stealer(name):
+        barrier.wait()
+        if steal_expired_lease(path, name, settings) is not None:
+            wins.append(name)
+
+    threads = [
+        threading.Thread(target=stealer, args=(f"s{i}",))
+        for i in range(workers)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    return wins
+
+
+def _process_stealer(path, name, rounds, start, done, wins):
+    settings = LeaseSettings(ttl_seconds=60)
+    for round_index in range(rounds):
+        start.wait()
+        if steal_expired_lease(path, name, settings) is not None:
+            with wins.get_lock():
+                wins[round_index] += 1
+        done.wait()
+
+
+class TestStealStress:
+    """Single-winner steals, sampled until a race would show.
+
+    A steal that checks expiry and then renames, with nothing tying the
+    two steps to one lease generation, lets a late stealer rename the
+    fresh lease the first winner just acquired; such a steal fails this
+    loop within a few dozen rounds.
+    """
+
+    def test_looped_eight_thread_steal_single_winner(self, tmp_path):
+        settings = LeaseSettings(ttl_seconds=60)
+        deadline = time.monotonic() + 10.0
+        rounds = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the stealers finely
+        try:
+            while rounds < 300 and time.monotonic() < deadline:
+                path = tmp_path / f"cell{rounds}.lease"
+                wins = _steal_round(path, settings)
+                assert len(wins) == 1, f"round {rounds}: winners {wins}"
+                assert read_lease(path)["owner"] == wins[0]
+                rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert rounds >= 20
+        leftovers = [p for p in tmp_path.iterdir() if ".steal-" in p.name]
+        assert leftovers == []
+
+    def test_multi_process_steal_single_winner(self, tmp_path):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("spawn")
+        workers, rounds = 4, 25
+        path = tmp_path / "cell.lease"
+        start = ctx.Barrier(workers + 1)
+        done = ctx.Barrier(workers + 1)
+        wins = ctx.Array("i", rounds)
+        procs = [
+            ctx.Process(
+                target=_process_stealer,
+                args=(str(path), f"p{i}", rounds, start, done, wins),
+            )
+            for i in range(workers)
+        ]
+        for proc in procs:
+            proc.start()
+        try:
+            for round_index in range(rounds):
+                if path.exists():
+                    path.unlink()
+                acquire_lease(path, "w0")
+                _expire(path)
+                start.wait(timeout=60)
+                done.wait(timeout=60)
+                assert wins[round_index] == 1, (round_index, list(wins))
+        except BaseException:
+            start.abort()  # release workers waiting on an abandoned round
+            done.abort()
+            raise
+        finally:
+            for proc in procs:
+                proc.join(timeout=30)
+                if proc.is_alive():  # pragma: no cover - cleanup
+                    proc.kill()
+        assert all(proc.exitcode == 0 for proc in procs)
 
 
 class TestHeartbeat:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cache import ResultCache
+from repro.cache import ResultCache, atomic_write
 from repro.cache.store import ARRAY_MAGIC, STORE_VERSION
 
 
@@ -151,3 +151,20 @@ class TestDescribe:
         cache.get_json("a", "ff" + "0" * 62)
         text = cache.describe()
         assert "1 hits" in text and "1 misses" in text
+
+
+class TestAtomicWrite:
+    def test_failed_replace_keeps_old_content_and_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "row.json"
+        atomic_write(target, b"old")
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.cache.store.os.replace", broken_replace)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(target, b"new")
+        assert target.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["row.json"]

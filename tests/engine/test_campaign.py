@@ -16,6 +16,7 @@ from repro.config import ParallelSettings, ProfileSettings
 from repro.engine import InjectionEngine
 from repro.errors import ProfilingError, RetryExhaustedError, TransientError
 from repro.nn import NetworkBuilder
+from repro.resilience import SimulatedCrash
 
 TEST_SEED = 1234
 
@@ -181,6 +182,67 @@ class TestOrderingInvariance:
             lenet, profiling_images, use_engine=use_engine, grids=reversed_grids
         )
         assert_reports_bitwise_equal(forward, backward)
+
+
+class TestLayerPublication:
+    """``on_layer`` sees each finished layer's sums, serial or pooled."""
+
+    @pytest.mark.parametrize(
+        "parallel",
+        [
+            ParallelSettings(jobs=1),
+            ParallelSettings(jobs=2, backend="thread"),
+            ParallelSettings(jobs=2, backend="process"),
+        ],
+        ids=["serial", "thread", "process"],
+    )
+    def test_each_layer_published_in_order(
+        self, lenet, profiling_images, parallel
+    ):
+        names = lenet.analyzed_layer_names
+        grids = {
+            name: np.geomspace(1e-3, 0.2, SETTINGS.num_delta_points)
+            for name in names
+        }
+        published = []
+        result = InjectionEngine(lenet, parallel).run(
+            profiling_images,
+            grids,
+            num_repeats=SETTINGS.num_repeats,
+            seed=SETTINGS.seed,
+            batch_size=BATCH_SIZE,
+            on_layer=lambda name, sums, counts: published.append(
+                (name, sums, counts)
+            ),
+        )
+        assert [name for name, __, __ in published] == names
+        for name, sums, counts in published:
+            assert sums.tobytes() == result.sq_sums[name].tobytes()
+            assert counts.tobytes() == result.counts[name].tobytes()
+
+    def test_crash_after_published_layers_keeps_them(self, lenet, profiling_images):
+        names = lenet.analyzed_layer_names
+        grids = {
+            name: np.geomspace(1e-3, 0.2, SETTINGS.num_delta_points)
+            for name in names
+        }
+        published = []
+
+        def sink(name, sums, counts):
+            published.append(name)
+            if len(published) == 2:
+                raise SimulatedCrash("killed after two layers")
+
+        with pytest.raises(SimulatedCrash):
+            InjectionEngine(lenet, ParallelSettings(jobs=2)).run(
+                profiling_images,
+                grids,
+                num_repeats=SETTINGS.num_repeats,
+                seed=SETTINGS.seed,
+                batch_size=BATCH_SIZE,
+                on_layer=sink,
+            )
+        assert published == names[:2]
 
 
 def tiny_network(seed=0):

@@ -1,10 +1,11 @@
 """End-to-end chaos tests: every degradation path, proven on a real model.
 
 These are the acceptance tests for the resilience layer: a simulated
-crash mid-profiling must be resumable without re-profiling completed
-layers, NaN activations must trip the guardrails, transient evaluator
-faults must be retried, and forced SLSQP failure must degrade to an
-equal-xi allocation tagged ``degraded=True`` instead of raising.
+crash mid-profiling must be resumable through the store without
+re-profiling completed layers, NaN activations must trip the
+guardrails, transient evaluator faults must be retried, and forced
+SLSQP failure must degrade to an equal-xi allocation tagged
+``degraded=True`` instead of raising.
 """
 
 import pytest
@@ -20,28 +21,23 @@ from repro.errors import (
     TransientError,
 )
 from repro.pipeline import PrecisionOptimizer, describe_outcome
+from repro.cache import ResultCache
 from repro.resilience import (
     ChaosNetwork,
     FaultSchedule,
-    RunState,
     SimulatedCrash,
     broken_solver,
     crash_after_layers,
     flaky,
-    resumable_profile,
 )
 
 SETTINGS = ProfileSettings(num_images=8, num_delta_points=6, seed=99)
 SEARCH = SearchSettings(num_images=64, tolerance=0.05, num_trials=1, seed=99)
 
 
-class CountingProfiler(ErrorProfiler):
-    """Records which layers actually get (re-)profiled."""
-
-    def profile(self, layer_names=None, progress=False):
-        names = list(layer_names or self.network.analyzed_layer_names)
-        self.profiled_layers = getattr(self, "profiled_layers", []) + names
-        return super().profile(names, progress=progress)
+def profile_entries(store):
+    """The per-layer profile entries in a store directory."""
+    return list((store / "objects" / "profile").glob("*/*.npb"))
 
 
 class TestFaultSchedule:
@@ -163,7 +159,27 @@ class TestTransientRetry:
 
 
 class TestCrashAndResume:
-    """Acceptance: kill mid-profiling, resume without redoing work."""
+    """Acceptance: kill mid-profiling, resume through the store.
+
+    The profiler stores each layer's campaign sums the moment that
+    layer finishes, so a crash after k layers leaves exactly k store
+    entries and a re-run against the same store profiles only the rest.
+    """
+
+    def _profile(self, network, images, store):
+        return ErrorProfiler(
+            network, images, settings=SETTINGS, cache=ResultCache(store)
+        ).profile()
+
+    def _crash(self, lenet, images, store, completed):
+        chaos = ChaosNetwork(
+            lenet,
+            crash_schedule=crash_after_layers(
+                completed, SETTINGS.num_delta_points, SETTINGS.num_repeats
+            ),
+        )
+        with pytest.raises(SimulatedCrash):
+            self._profile(chaos, images, store)
 
     def test_crash_then_resume_skips_completed_layers(
         self, lenet, datasets, tmp_path
@@ -172,77 +188,46 @@ class TestCrashAndResume:
         layers = lenet.analyzed_layer_names
         assert len(layers) >= 3, "test needs a multi-layer network"
         completed = 2
+        self._crash(lenet, test.images, tmp_path, completed)
 
-        state = RunState(tmp_path / "run")
-        state.bind(lenet.name)
-        chaos = ChaosNetwork(
-            lenet,
-            crash_schedule=crash_after_layers(
-                completed,
-                SETTINGS.num_delta_points,
-                SETTINGS.num_repeats,
-            ),
+        # exactly the first `completed` layers were stored
+        assert len(profile_entries(tmp_path)) == completed
+
+        # resume on a clean network that only counts forward events
+        counter = FaultSchedule()
+        report = self._profile(
+            ChaosNetwork(lenet, crash_schedule=counter), test.images, tmp_path
         )
-        profiler = ErrorProfiler(chaos, test.images, settings=SETTINGS)
-        with pytest.raises(SimulatedCrash):
-            resumable_profile(profiler, state)
-
-        # exactly the first `completed` layers were checkpointed
-        assert set(state.load_layer_profiles()) == set(layers[:completed])
-        mtimes = {
-            p.name: p.stat().st_mtime_ns
-            for p in state.profiles_dir.glob("*.npz")
-        }
-
-        # resume on a clean (chaos-free) profiler
-        fresh = CountingProfiler(lenet, test.images, settings=SETTINGS)
-        report = resumable_profile(fresh, state)
         assert set(report.profiles) == set(layers)
-        # only the unfinished layers were re-profiled...
-        assert fresh.profiled_layers == layers[completed:]
-        # ...and the completed checkpoints were not rewritten
-        for path in state.profiles_dir.glob("*.npz"):
-            if path.name in mtimes:
-                assert path.stat().st_mtime_ns == mtimes[path.name]
+        assert report.cache_hits == completed
+        # one input-scale pass; the reference activations restore from
+        # the store; only the unfinished layers' trials replay
+        remaining = len(layers) - completed
+        assert counter.calls == 1 + remaining * (
+            SETTINGS.num_delta_points * SETTINGS.num_repeats
+        )
+        assert len(profile_entries(tmp_path)) == len(layers)
 
     def test_resumed_profiles_match_uninterrupted_run(
         self, lenet, datasets, tmp_path
     ):
         __, test = datasets
-        state_a = RunState(tmp_path / "a")
-        state_a.bind(lenet.name)
-        clean = resumable_profile(
-            ErrorProfiler(lenet, test.images, settings=SETTINGS), state_a
-        )
-
-        state_b = RunState(tmp_path / "b")
-        state_b.bind(lenet.name)
-        chaos = ChaosNetwork(
-            lenet,
-            crash_schedule=crash_after_layers(
-                1, SETTINGS.num_delta_points, SETTINGS.num_repeats
-            ),
-        )
-        with pytest.raises(SimulatedCrash):
-            resumable_profile(
-                ErrorProfiler(chaos, test.images, settings=SETTINGS), state_b
-            )
-        resumed = resumable_profile(
-            ErrorProfiler(lenet, test.images, settings=SETTINGS), state_b
-        )
-        for name in clean.profiles:
-            assert resumed.profiles[name].lam == pytest.approx(
-                clean.profiles[name].lam
-            )
-            assert resumed.profiles[name].theta == pytest.approx(
-                clean.profiles[name].theta
-            )
+        clean = ErrorProfiler(lenet, test.images, settings=SETTINGS).profile()
+        self._crash(lenet, test.images, tmp_path, 1)
+        resumed = self._profile(lenet, test.images, tmp_path)
+        assert resumed.cache_hits == 1
+        for name, profile in clean.profiles.items():
+            again = resumed.profiles[name]
+            # bit-identical, not approximately equal
+            assert again.lam == profile.lam
+            assert again.theta == profile.theta
+            assert again.r_squared == profile.r_squared
+            assert again.sigmas.tobytes() == profile.sigmas.tobytes()
 
     def test_optimizer_resumes_profile_and_sigma(
         self, lenet, datasets, tmp_path
     ):
         __, test = datasets
-        state_dir = tmp_path / "opt-run"
         chaos = ChaosNetwork(
             lenet,
             crash_schedule=crash_after_layers(
@@ -255,11 +240,11 @@ class TestCrashAndResume:
             profile_settings=SETTINGS,
             search_settings=SEARCH,
             refine=False,
-            state_dir=state_dir,
+            cache=tmp_path,
         )
         with pytest.raises(SimulatedCrash):
             crashed.profile()
-        assert len(crashed.state.load_layer_profiles()) == 2
+        assert len(profile_entries(tmp_path)) == 2
 
         resumed = PrecisionOptimizer(
             lenet,
@@ -267,23 +252,25 @@ class TestCrashAndResume:
             profile_settings=SETTINGS,
             search_settings=SEARCH,
             refine=False,
-            state_dir=state_dir,
+            cache=tmp_path,
         )
         outcome = resumed.optimize("input", accuracy_drop=0.05)
+        assert resumed.profile().cache_hits == 2
         assert outcome.sigma_result.sigma > 0
         assert set(outcome.bitwidths) == set(lenet.analyzed_layer_names)
 
-        # the finished sigma search persisted; a third optimizer loads
-        # it instead of re-searching (its evaluations match exactly)
+        # the finished sigma search replays from the stored evaluations:
+        # a third optimizer computes nothing and matches exactly
         third = PrecisionOptimizer(
             lenet,
             test,
             profile_settings=SETTINGS,
             search_settings=SEARCH,
             refine=False,
-            state_dir=state_dir,
+            cache=tmp_path,
         )
         stored = third.sigma_for_drop(0.05)
+        assert third.cache.counters.misses == 0
         assert stored.sigma == outcome.sigma_result.sigma
         assert stored.evaluations == outcome.sigma_result.evaluations
 

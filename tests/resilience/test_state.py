@@ -1,140 +1,236 @@
-"""Unit tests for the on-disk resumable run state."""
+"""Run persistence through the store and the run directory.
+
+A single optimizer run persists (and resumes) through the
+content-addressed store: each layer's profile sums and each sigma
+evaluation are stored as soon as they are computed, keyed on every
+result-determining input.  A sweep grid additionally binds one run
+directory to its plan fingerprint.
+"""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.analysis.profiler import LayerErrorProfile
-from repro.analysis.sigma_search import SigmaSearchResult
+from repro.analysis.profiler import ErrorProfiler
+from repro.analysis.sigma_search import Scheme1Evaluator
+from repro.cache import ResultCache
+from repro.config import ProfileSettings, SearchSettings
 from repro.errors import ResumeError
-from repro.resilience import STATE_VERSION, RunState
+from repro.experiments import ExperimentConfig, SweepSpec
+from repro.experiments.distributed import PLAN_FILE, publish_plan
+from repro.experiments.rundir import RUN_DIR_SCHEMA
+from repro.pipeline import PrecisionOptimizer
+
+SETTINGS = ProfileSettings(num_images=8, num_delta_points=6, seed=99)
+SEARCH = SearchSettings(num_images=64, tolerance=0.05, num_trials=1, seed=99)
+
+TINY = ExperimentConfig(model="lenet", seed=1234)
+SPEC = SweepSpec(models=("lenet",), accuracy_drops=(0.05,), objectives=("input",))
 
 
-def make_profile(name="conv1", lam=2.5):
-    return LayerErrorProfile(
-        name=name,
-        lam=lam,
-        theta=-0.003,
-        r_squared=0.998,
-        max_relative_error=0.04,
-        deltas=np.geomspace(1e-4, 1e-1, 8),
-        sigmas=np.geomspace(1e-4, 1e-1, 8) / lam,
+def _entries(store, namespace):
+    return sorted((store / "objects" / namespace).glob("*/*.*"))
+
+
+def _profile(network, images, store):
+    cache = ResultCache(store)
+    report = ErrorProfiler(
+        network, images, settings=SETTINGS, cache=cache
+    ).profile()
+    return report, cache
+
+
+def _optimizer(network, test, store):
+    return PrecisionOptimizer(
+        network,
+        test,
+        profile_settings=SETTINGS,
+        search_settings=SEARCH,
+        refine=False,
+        cache=store,
     )
 
 
-def make_sigma_result():
-    return SigmaSearchResult(
-        sigma=0.125,
-        baseline_accuracy=0.75,
-        target_accuracy=0.7125,
-        achieved_accuracy=0.73,
-        evaluations=[(1.0, 0.5), (0.5, 0.7), (0.125, 0.73)],
-        elapsed_seconds=1.5,
-    )
+def _assert_same_profiles(a, b):
+    assert set(a.profiles) == set(b.profiles)
+    for name, profile in a.profiles.items():
+        other = b.profiles[name]
+        assert profile.lam == other.lam
+        assert profile.theta == other.theta
+        np.testing.assert_array_equal(profile.deltas, other.deltas)
+        np.testing.assert_array_equal(profile.sigmas, other.sigmas)
+
+
+@pytest.fixture(scope="module")
+def cold(lenet, datasets, tmp_path_factory):
+    """One cold profiled run into a fresh store: (report, cache, store)."""
+    __, test = datasets
+    store = tmp_path_factory.mktemp("store")
+    report, cache = _profile(lenet, test.images, store)
+    return report, cache, store
 
 
 class TestManifest:
+    """A sweep run directory binds to exactly one plan."""
+
     def test_bind_creates_layout(self, tmp_path):
-        state = RunState(tmp_path / "run")
-        manifest = state.bind("lenet")
-        assert manifest["version"] == STATE_VERSION
-        assert state.manifest_path.exists()
-        assert state.profiles_dir.is_dir()
-        assert state.sigma_dir.is_dir()
+        plan = publish_plan(tmp_path / "run", SPEC, TINY)
+        payload = json.loads((tmp_path / "run" / PLAN_FILE).read_text())
+        assert payload["schema"] == RUN_DIR_SCHEMA
+        assert payload["fingerprint"] == plan.fingerprint
 
     def test_rebind_same_network_ok(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        assert RunState(tmp_path).bind("lenet")["network"] == "lenet"
+        first = publish_plan(tmp_path, SPEC, TINY)
+        assert publish_plan(tmp_path, SPEC, TINY) == first
 
     def test_bind_rejects_other_network(self, tmp_path):
-        RunState(tmp_path).bind("lenet")
-        with pytest.raises(ResumeError):
-            RunState(tmp_path).bind("alexnet")
+        publish_plan(tmp_path, SPEC, TINY)
+        with pytest.raises(ResumeError, match="different sweep"):
+            publish_plan(tmp_path, SweepSpec(models=("nin",)), TINY)
 
     def test_bind_rejects_version_mismatch(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        payload = json.loads(state.manifest_path.read_text())
-        payload["version"] = 999
-        state.manifest_path.write_text(json.dumps(payload))
-        with pytest.raises(ResumeError):
-            RunState(tmp_path).bind("lenet")
+        publish_plan(tmp_path, SPEC, TINY)
+        path = tmp_path / PLAN_FILE
+        payload = json.loads(path.read_text())
+        payload["schema"] = 999
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ResumeError, match="schema"):
+            publish_plan(tmp_path, SPEC, TINY)
 
     def test_corrupt_manifest_raises(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        state.manifest_path.write_text("{not json")
+        publish_plan(tmp_path, SPEC, TINY)
+        (tmp_path / PLAN_FILE).write_text("{not json")
         with pytest.raises(ResumeError):
-            RunState(tmp_path).bind("lenet")
+            publish_plan(tmp_path, SPEC, TINY)
 
 
 class TestLayerProfiles:
-    def test_roundtrip(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        original = make_profile()
-        state.save_layer_profile(original)
-        loaded = state.load_layer_profiles()["conv1"]
-        assert loaded.lam == original.lam
-        assert loaded.theta == original.theta
-        assert loaded.r_squared == original.r_squared
-        np.testing.assert_array_equal(loaded.deltas, original.deltas)
-        np.testing.assert_array_equal(loaded.sigmas, original.sigmas)
+    """Per-layer profile sums live in the store's ``profile`` namespace."""
 
-    def test_empty_state_loads_nothing(self, tmp_path):
-        assert RunState(tmp_path / "nowhere").load_layer_profiles() == {}
+    def test_roundtrip(self, cold, lenet, datasets):
+        report, __, store = cold
+        __, test = datasets
+        restored, cache = _profile(lenet, test.images, store)
+        assert restored.cache_hits == len(lenet.analyzed_layer_names)
+        assert cache.counters.writes == 0
+        _assert_same_profiles(report, restored)
 
-    def test_multiple_layers(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        for name in ("conv1", "conv2", "fc"):
-            state.save_layer_profile(make_profile(name))
-        assert set(state.load_layer_profiles()) == {"conv1", "conv2", "fc"}
+    def test_empty_state_loads_nothing(self, cold):
+        report, cache, __ = cold
+        assert report.cache_hits == 0
+        assert cache.counters.hits == 0
 
-    def test_corrupt_profile_raises(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        state.save_layer_profile(make_profile())
-        path = next(state.profiles_dir.glob("*.npz"))
-        path.write_bytes(b"garbage")
-        with pytest.raises(ResumeError):
-            state.load_layer_profiles()
+    def test_multiple_layers(self, cold, lenet):
+        __, __, store = cold
+        assert len(_entries(store, "profile")) == len(
+            lenet.analyzed_layer_names
+        )
 
-    def test_odd_layer_names_are_slugged(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        state.save_layer_profile(make_profile("block/3x3:a"))
-        assert "block/3x3:a" in state.load_layer_profiles()
+    def test_odd_layer_names_are_slugged(self, cold):
+        # Store paths are key digests; layer names only reach metadata.
+        __, __, store = cold
+        for path in _entries(store, "profile"):
+            assert len(path.stem) == 64
+            int(path.stem, 16)
 
 
 class TestSigmaResults:
-    def test_roundtrip(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        state.save_sigma_result(0.05, make_sigma_result())
-        loaded = state.load_sigma_result(0.05)
-        assert loaded.sigma == 0.125
-        assert loaded.evaluations == [(1.0, 0.5), (0.5, 0.7), (0.125, 0.73)]
-        assert loaded.num_evaluations == 3
+    """Sigma searches replay from stored per-sigma evaluations."""
 
-    def test_missing_returns_none(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        assert state.load_sigma_result(0.01) is None
+    @pytest.fixture(scope="class")
+    def searched(self, lenet, datasets, tmp_path_factory):
+        __, test = datasets
+        store = tmp_path_factory.mktemp("sigma-store")
+        optimizer = _optimizer(lenet, test, store)
+        return optimizer.sigma_for_drop(0.05), store
 
-    def test_distinct_drops_stored_separately(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        state.save_sigma_result(0.05, make_sigma_result())
-        assert state.load_sigma_result(0.01) is None
-        assert state.load_sigma_result(0.05) is not None
+    def test_roundtrip(self, searched, lenet, datasets):
+        result, store = searched
+        __, test = datasets
+        again = _optimizer(lenet, test, store)
+        replayed = again.sigma_for_drop(0.05)
+        assert replayed.sigma == result.sigma
+        assert replayed.evaluations == result.evaluations
+        assert again.cache.counters.misses == 0
 
-    def test_corrupt_sigma_raises(self, tmp_path):
-        state = RunState(tmp_path)
-        state.bind("lenet")
-        state.save_sigma_result(0.05, make_sigma_result())
-        state._sigma_path(0.05).write_text("{broken")
-        with pytest.raises(ResumeError):
-            state.load_sigma_result(0.05)
+    def test_missing_returns_none(self, searched, lenet, datasets):
+        # A stored evaluation answers only the search that measured it.
+        result, store = searched
+        __, test = datasets
+        profiles = _optimizer(lenet, test, store).profile().profiles
+
+        def evaluator(seed):
+            return Scheme1Evaluator(
+                lenet,
+                test,
+                profiles,
+                num_trials=SEARCH.num_trials,
+                seed=seed,
+                cache=ResultCache(store),
+            )
+
+        same, other = evaluator(SEARCH.seed), evaluator(SEARCH.seed + 1)
+        for sigma, accuracy in result.evaluations:
+            assert same._persistent_get(sigma) == accuracy
+            assert other._persistent_get(sigma) is None
+
+    def test_distinct_drops_stored_separately(self, lenet, datasets, tmp_path):
+        __, test = datasets
+        optimizer = _optimizer(lenet, test, tmp_path)
+        optimizer.optimize("input", accuracy_drop=0.05)
+        assert len(_entries(tmp_path, "outcome")) == 1
+        optimizer.optimize("input", accuracy_drop=0.1)
+        assert len(_entries(tmp_path, "outcome")) == 2
+
+
+class TestStaleResume:
+    """Re-running into one store with a changed setting is never stale.
+
+    The store keys every entry on every result-determining setting, so
+    a second run that differs only in ``profile_points`` (or only in the
+    search ``tolerance``) must equal a fresh run of its own settings —
+    never reuse the first run's profiles or sigma.
+    """
+
+    def _outcome(self, network, test, store, profile, search):
+        optimizer = PrecisionOptimizer(
+            network,
+            test,
+            profile_settings=profile,
+            search_settings=search,
+            refine=False,
+            cache=store,
+        )
+        outcome = optimizer.optimize("input", accuracy_drop=0.05)
+        return optimizer.profile(), outcome
+
+    def _assert_resume_equals_fresh(self, lenet, test, store, first, second):
+        self._outcome(lenet, test, store, *first)
+        resumed_profile, resumed = self._outcome(lenet, test, store, *second)
+        fresh_profile, fresh = self._outcome(lenet, test, None, *second)
+        _assert_same_profiles(fresh_profile, resumed_profile)
+        assert resumed.result.sigma == fresh.result.sigma
+        assert resumed.sigma_result.evaluations == fresh.sigma_result.evaluations
+        assert resumed.bitwidths == fresh.bitwidths
+        return fresh_profile, fresh
+
+    def test_profile_points_change(self, lenet, datasets, tmp_path):
+        __, test = datasets
+        nine = replace(SETTINGS, num_delta_points=9)
+        fresh_profile, __ = self._assert_resume_equals_fresh(
+            lenet, test, tmp_path, (SETTINGS, SEARCH), (nine, SEARCH)
+        )
+        for profile in fresh_profile:
+            assert len(profile.deltas) == 9
+
+    def test_tolerance_change(self, lenet, datasets, tmp_path):
+        __, test = datasets
+        tight = replace(SEARCH, tolerance=0.005)
+        __, loose = self._outcome(lenet, test, None, SETTINGS, SEARCH)
+        __, fresh = self._assert_resume_equals_fresh(
+            lenet, test, tmp_path, (SETTINGS, SEARCH), (SETTINGS, tight)
+        )
+        # the two tolerances really do search to different sigmas
+        assert fresh.result.sigma != loose.result.sigma

@@ -97,15 +97,16 @@ class TestCellGrid:
                 replace(SPEC, chaos_cells=("component/nope/lenet",)), TINY
             )
 
-    def test_fingerprint_ignores_chaos_and_state_dir(self):
+    def test_fingerprint_ignores_chaos_and_cache_dir(self):
         base = campaign_fingerprint(SPEC, TINY)
         with_chaos = campaign_fingerprint(
             replace(SPEC, chaos_cells=(CHAOS_CELL,)), TINY
         )
-        other_state = campaign_fingerprint(
-            SPEC, replace(TINY, state_dir="/elsewhere")
+        # Where results are stored never changes what they are.
+        other_store = campaign_fingerprint(
+            SPEC, replace(TINY, cache_dir="/elsewhere")
         )
-        assert base == with_chaos == other_state
+        assert base == with_chaos == other_store
 
     def test_fingerprint_ignores_observability_knobs(self):
         # Monitoring toggles never change what is measured, so they

@@ -8,7 +8,6 @@ def _row(
     kind="component",
     group="",
     variant="baseline",
-    status="ok",
     objective="input",
     **overrides,
 ):
@@ -21,7 +20,6 @@ def _row(
         effective_mac_bits=6.0,
         baseline_accuracy=0.9,
         validated_accuracy=0.88,
-        target_accuracy=0.85,
         meets_constraint=True,
         degraded=False,
         bitwidths={"fc": 5},
@@ -32,7 +30,6 @@ def _row(
         kind=kind,
         group=group,
         variant=variant,
-        status=status,
         objective=objective,
         **defaults,
     )
@@ -80,7 +77,6 @@ class TestImportance:
             "component/fallback:off/lenet",
             group="fallback",
             variant="fallback:off",
-            status="failed",
             failure=FailureRecord("X", "m", "allocation", "d" * 12),
         )
         mild = _row(
@@ -157,7 +153,6 @@ class TestScenarios:
                 kind="scenario",
                 group="topology:deep",
                 variant="topology:deep",
-                status="failed",
                 failure=FailureRecord("X", "m", "profiling", "e" * 12),
             ),
         ]
@@ -198,7 +193,6 @@ class TestReportShape:
             "component/fallback:off/lenet",
             group="fallback",
             variant="fallback:off",
-            status="failed",
             failure=FailureRecord("Boom", "m", "allocation", "f" * 12),
         )
         lines = build_report(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import clear_context_cache
 
 
 FAST = [
@@ -43,15 +44,20 @@ class TestParser:
 
     def test_resilience_flags_default_off(self):
         args = build_parser().parse_args(["optimize"])
-        assert args.resume == ""
+        assert args.cache_dir == ""
         assert args.strict is False
 
     def test_resilience_flags_parse(self):
+        # Resuming is reusing --cache-dir; there is no --resume flag.
         args = build_parser().parse_args(
-            ["optimize", "--resume", "/tmp/run", "--strict"]
+            ["optimize", "--cache-dir", "/tmp/run", "--strict"]
         )
-        assert args.resume == "/tmp/run"
+        assert args.cache_dir == "/tmp/run"
         assert args.strict is True
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["optimize", "--resume", "/tmp/run"])
+        args = build_parser().parse_args(["ablate", "--run-dir", "/tmp/r"])
+        assert args.run_dir == "/tmp/r"
 
     def test_sweep_keep_going_flag(self):
         args = build_parser().parse_args(["sweep"])
@@ -99,17 +105,28 @@ class TestCommands:
         assert "constraint met" in out
 
     def test_optimize_with_resume_populates_state(self, capsys, tmp_path):
-        state = tmp_path / "run-state"
-        args = ["optimize", "--drop", "0.05", "--resume", str(state)] + FAST
+        store = tmp_path / "store"
+        args = ["optimize", "--drop", "0.05", "--cache-dir", str(store)] + FAST
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert (state / "manifest.json").exists()
-        assert list((state / "profiles").glob("*.npz"))
-        assert list((state / "sigma").glob("drop_*.json"))
-        # a second run resumes from the checkpoints and agrees
+        objects = store / "objects"
+        assert list((objects / "profile").glob("*/*.npb"))
+        assert list((objects / "sigma_eval").glob("*/*.json"))
+        assert list((objects / "outcome").glob("*/*.json"))
+        # a second run on the same store (fresh process state) resumes
+        # from it and agrees; only the store's own hit/miss line differs
+        clear_context_cache()
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert first == second
+
+        def results(out):
+            return [
+                line for line in out.splitlines()
+                if not line.startswith(f"cache {store}")
+            ]
+
+        assert results(first) == results(second)
+        assert " 0 misses" in second
 
     def test_ablate_smoke_with_chaos_and_report(self, capsys, tmp_path):
         out_path = tmp_path / "ablate.json"
